@@ -1,18 +1,21 @@
 //! Criterion micro-benchmarks for the streaming decode subsystem:
 //! round-major sampling + windowed decoding against the full-batch path,
 //! and the per-window commit latency as a function of window size (the
-//! metric a real-time decoder must keep below the round cadence).
+//! metric a real-time decoder must keep below the round cadence), down to
+//! the steady-state commit of an unbounded-horizon (periodic) session.
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use surf_defects::DefectMap;
+use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Patch};
 use surf_matching::{Decoder, WindowConfig, WindowedDecoder};
 use surf_sim::{
     BitBatch, DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise, RoundStream,
+    SessionConfig,
 };
 
 fn decoding_model(d: usize, rounds: u32) -> DetectorModel {
@@ -124,6 +127,51 @@ fn bench_commit_latency(c: &mut Criterion) {
             });
         });
     }
+    // The steady state of an unbounded horizon: the 64-lane push that
+    // completes a mid-horizon window of a 10⁴-round periodic (virtual)
+    // session — the push a long availability run repeats thousands of
+    // times. Setup (fork, silent advance, the window's first rounds) is
+    // untimed; only the committing push is measured.
+    let window = 2 * d as u32;
+    let proto = SessionConfig::new(
+        PatchTimeline::fixed(Patch::rotated(d), DefectMap::new()),
+        Basis::Z,
+        10_000,
+    )
+    .with_window(WindowConfig::new(window))
+    .with_sparse(true)
+    .open(64);
+    let end = 5_000u32;
+    let mut stream = proto.round_stream();
+    stream.begin(&mut StdRng::seed_from_u64(11), 64);
+    let mut rounds: Vec<Vec<u64>> = Vec::new();
+    while let Some(slice) = stream.next_round() {
+        if slice.round >= end - window {
+            rounds.push(slice.words.to_vec());
+        }
+        if slice.round + 1 == end {
+            break;
+        }
+    }
+    let (lead, last) = rounds.split_at(rounds.len() - 1);
+    group.bench_function(BenchmarkId::new("virtual_steady_push", d), |b| {
+        b.iter_batched(
+            || {
+                let mut session = proto.fork(64);
+                session.advance_silent(end - window).unwrap();
+                for words in lead {
+                    session.push_round(words).unwrap();
+                }
+                session
+            },
+            |mut session| {
+                let out = session.push_round(&last[0]).unwrap();
+                assert_eq!(out.committed_through, end - window / 2);
+                out
+            },
+            BatchSize::SmallInput,
+        );
+    });
     group.finish();
 }
 

@@ -51,9 +51,9 @@ pub use blossom::{
 pub use decoder::{decode_wide_batch, decode_wide_batch_with, DecodeWorkspace, Decoder};
 pub use graph::{xor_probability, DecodingGraph, Edge};
 pub use mwpm::{MwpmDecoder, MwpmScratch};
-pub use source::{RoundModelSource, SourceEdge};
+pub use source::{RoundModelSource, SourceEdge, WindowTranslation};
 pub use unionfind::{UfScratch, UnionFindDecoder};
 pub use windowed::{
-    DecoderFactory, GraphEpoch, OwnedWindowedSession, WindowConfig, WindowedDecoder,
+    DecoderFactory, GraphEpoch, OwnedWindowedSession, WindowConfig, WindowParts, WindowedDecoder,
     WindowedSession,
 };

@@ -51,6 +51,25 @@ impl SourceEdge {
     }
 }
 
+/// How a steady-state window relates to its canonical template window:
+/// the window over `rounds` is the window over the same number of rounds
+/// starting at `canonical_start`, shifted by `reps` template periods.
+///
+/// Shifting by one period moves every detector of the template (window
+/// detectors and any carry target past the window end) to the id
+/// `stride` higher, for a per-detector `stride` that does not depend on
+/// the repetition — so a window `reps` periods on maps detector `d` to
+/// `d + reps·stride(d)`, with identical merged edges in identical order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowTranslation {
+    /// First round of the canonical window.
+    pub canonical_start: u32,
+    /// Template periods between the canonical window and this one.
+    pub reps: u32,
+    /// Rounds per template period.
+    pub period: u32,
+}
+
 /// A detector model addressable by round, serving windows on demand.
 ///
 /// All detector ids are global (whole-horizon) ids; rounds run from `0`
@@ -76,4 +95,21 @@ pub trait RoundModelSource: Send + Sync {
     /// Edges entirely outside the range may be included; the window
     /// assembler drops them.
     fn window_edges(&self, rounds: Range<u32>, out: &mut Vec<SourceEdge>);
+
+    /// Reports that the window over `rounds` is a translate of a
+    /// canonical template window (see [`WindowTranslation`]), or `None`
+    /// when it must be assembled directly — the default, and the right
+    /// answer for any window touching a boundary, a strike or the end of
+    /// the stream.
+    ///
+    /// An implementation may answer `Some` only when both this window and
+    /// the window one period after `canonical_start` are translates of
+    /// the canonical one — detectors, merged edges (values and order) and
+    /// every detector those edges reference — so a decoder can recover
+    /// the per-detector strides by comparing the canonical window with
+    /// its one-period translate.
+    fn window_translation(&self, rounds: Range<u32>) -> Option<WindowTranslation> {
+        let _ = rounds;
+        None
+    }
 }

@@ -81,15 +81,38 @@
 //! is never materialised. Window assembly replays the identical edge
 //! sequence the materialised sparse path would visit, so committed
 //! results stay bit-identical.
+//!
+//! ## Template translation
+//!
+//! Between boundaries, a periodic source proves every window a translate
+//! of a canonical one ([`RoundModelSource::window_translation`]). Such
+//! steady-state windows are not assembled at all: the decoder builds one
+//! *template* plan per canonical start on first touch (assembling the
+//! canonical window and its one-period translate, whose difference gives
+//! each local detector's stride), keeps it for the decoder's lifetime,
+//! and decodes a window `δ` periods on by reading detector
+//! `globals[k] + δ·stride[k]` and carrying to targets shifted the same
+//! way — through the very backend a direct assembly would have shared.
+//! Sessions cache the templates they use, so steady-state pushes and
+//! silent advances take no lock; boundary, strike and final windows are
+//! assembled on demand as before. Plan assemblies per session therefore
+//! stop growing with the horizon
+//! ([`plan_builds`](WindowedDecoder::plan_builds)).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use surf_pauli::BitBatch;
 
 use crate::decoder::{DecodeWorkspace, Decoder};
 use crate::graph::DecodingGraph;
-use crate::source::{RoundModelSource, SourceEdge};
+use crate::source::{RoundModelSource, SourceEdge, WindowTranslation};
+
+/// Template plans a session keeps locally: a stretch uses one template
+/// per commit phase modulo the period, so a handful covers the windows in
+/// flight.
+const SESSION_TEMPLATES: usize = 4;
 
 /// Factory building the inner decoder backend over each window sub-graph.
 pub type DecoderFactory = Box<dyn Fn(DecodingGraph) -> Box<dyn Decoder> + Send + Sync>;
@@ -165,43 +188,110 @@ struct WindowPlan {
     /// decode result has the bit set, the detector's defect is flipped
     /// before the next window.
     carries: Vec<(u32, u32)>,
+    /// Template plans only (empty otherwise): in the window `shift`
+    /// periods past the template, local node `k` is global detector
+    /// `globals[k] + shift · strides[k]`.
+    strides: Vec<u32>,
+    /// Template plans only: the stride of each carry target, in
+    /// `carries` order.
+    carry_strides: Vec<u32>,
+}
+
+impl WindowPlan {
+    /// Global id of local node `k` in the window `shift` periods on
+    /// (`shift` is 0 for directly assembled plans).
+    fn global(&self, k: usize, shift: u32) -> u32 {
+        match shift {
+            0 => self.globals[k],
+            _ => self.globals[k] + shift * self.strides[k],
+        }
+    }
+
+    /// Global id of carry `j`'s target in the window `shift` periods on.
+    fn carry_target(&self, j: usize, shift: u32) -> u32 {
+        match shift {
+            0 => self.carries[j].1,
+            _ => self.carries[j].1 + shift * self.carry_strides[j],
+        }
+    }
+}
+
+impl std::fmt::Debug for WindowPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WindowPlan")
+            .field("globals", &self.globals.len())
+            .field("carries", &self.carries.len())
+            .field("template", &!self.strides.is_empty())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Where window plans come from: built eagerly up front (dense mode),
-/// resolved on demand with structural decoder sharing (sparse mode), or
-/// assembled from a [`RoundModelSource`] (virtual mode, no materialised
-/// graph at all).
+/// resolved on demand with structural decoder sharing (sparse mode, over
+/// a round-major detector index), or assembled from a
+/// [`RoundModelSource`] (virtual mode, no materialised graph at all).
 enum PlanStore {
     Eager(Vec<Arc<WindowPlan>>),
-    Lazy(Mutex<PlanTable>),
-    Virtual(Mutex<VirtualTable>),
+    Lazy {
+        table: Mutex<PlanTable>,
+        /// All detectors sorted by `(round, detector)`.
+        dets: Vec<u32>,
+        /// `dets[round_start[r]..round_start[r + 1]]` are round `r`'s
+        /// detectors in ascending id order.
+        round_start: Vec<u32>,
+    },
+    Virtual(Mutex<PlanTable>),
 }
 
-/// The lazy-plan state behind virtual mode: like [`PlanTable`] but with
-/// no detector index — windows ask the model source instead.
-struct VirtualTable {
-    factory: DecoderFactory,
-    resolved: HashMap<usize, Arc<WindowPlan>>,
-    canon: Vec<Arc<dyn Decoder>>,
-}
-
-/// The lazy-plan state behind sparse mode.
+/// The on-demand plan state behind the sparse and virtual stores.
 struct PlanTable {
     factory: DecoderFactory,
-    /// Plans already resolved, keyed by window index. Committed entries
-    /// are evicted once every live session's commit frontier passes them,
-    /// so the table stays O(in-flight windows) on 10⁵⁺-round streams
-    /// instead of O(windows).
+    /// Plans already resolved, keyed by window index. A session evicts
+    /// the entries below its own commit frontier after each drain, so the
+    /// table stays O(in-flight windows) on 10⁵⁺-round streams instead of
+    /// O(windows).
     resolved: HashMap<usize, Arc<WindowPlan>>,
     /// Distinct inner decoders built so far, most recently used first;
     /// a candidate window whose instrumented sub-graph equals a canonical
     /// decoder's graph reuses it instead of compiling a new backend.
     canon: Vec<Arc<dyn Decoder>>,
-    /// All detectors sorted by `(round, detector)`.
-    dets: Vec<u32>,
-    /// `dets[round_start[r]..round_start[r + 1]]` are round `r`'s
-    /// detectors in ascending id order.
-    round_start: Vec<u32>,
+    /// Steady-state template plans keyed by canonical start round
+    /// (virtual mode only): built on first touch, never evicted.
+    templates: HashMap<u32, Arc<WindowPlan>>,
+}
+
+impl PlanTable {
+    fn new(factory: DecoderFactory) -> Self {
+        PlanTable {
+            factory,
+            resolved: HashMap::new(),
+            canon: Vec::new(),
+            templates: HashMap::new(),
+        }
+    }
+
+    fn lock(table: &Mutex<PlanTable>) -> MutexGuard<'_, PlanTable> {
+        table
+            .lock()
+            .expect("plan table poisoned: a session panicked while resolving a plan")
+    }
+}
+
+/// One assembled window: detectors in global ids, the instrumented
+/// window sub-graph, and the carry table.
+type Parts = (Vec<u32>, DecodingGraph, Vec<(u32, u32)>);
+
+/// One window plan laid open for equivalence tests (see
+/// [`WindowedDecoder::window_parts`]).
+#[doc(hidden)]
+#[derive(Clone, Debug)]
+pub struct WindowParts {
+    /// Window detectors in global ids, local node order.
+    pub globals: Vec<u32>,
+    /// The instrumented window sub-graph.
+    pub graph: DecodingGraph,
+    /// `(observable bit, global carry target)` pairs.
+    pub carries: Vec<(u32, u32)>,
 }
 
 /// A streaming decoder: decodes overlapping round-windows of a decoding
@@ -248,6 +338,13 @@ pub struct WindowedDecoder {
     num_observables: u32,
     config: WindowConfig,
     store: PlanStore,
+    /// Window assemblies so far (see [`plan_builds`](Self::plan_builds)).
+    plan_builds: AtomicU64,
+    /// Lowest window index holding a resolved on-demand plan
+    /// (`usize::MAX` when none). Written only under the plan-store lock;
+    /// read without it, so eviction skips the lock when nothing resolved
+    /// lies below the frontier.
+    lowest_resolved: AtomicUsize,
 }
 
 impl WindowedDecoder {
@@ -330,6 +427,8 @@ impl WindowedDecoder {
             num_observables,
             config,
             store: PlanStore::Eager(Vec::new()),
+            plan_builds: AtomicU64::new(0),
+            lowest_resolved: AtomicUsize::new(usize::MAX),
         };
         decoder.store = if sparse {
             let mut dets: Vec<u32> = (0..decoder.graph.num_nodes() as u32).collect();
@@ -341,22 +440,22 @@ impl WindowedDecoder {
             for r in 0..total_rounds as usize {
                 round_start[r + 1] += round_start[r];
             }
-            PlanStore::Lazy(Mutex::new(PlanTable {
-                factory,
-                resolved: HashMap::new(),
-                canon: Vec::new(),
+            PlanStore::Lazy {
+                table: Mutex::new(PlanTable::new(factory)),
                 dets,
                 round_start,
-            }))
+            }
         } else {
             let mut plans = Vec::with_capacity(decoder.num_windows());
             for index in 0..decoder.num_windows() {
                 let (start, end, cut) = decoder.window_bounds(index);
-                let (globals, window_graph, carries) = decoder.build_parts_eager(start, end, cut);
+                let (globals, window_graph, carries) = decoder.build_parts(start, end, cut);
                 plans.push(Arc::new(WindowPlan {
                     globals,
                     decoder: Arc::from(factory(window_graph)),
                     carries,
+                    strides: Vec::new(),
+                    carry_strides: Vec::new(),
                 }));
             }
             PlanStore::Eager(plans)
@@ -485,18 +584,24 @@ impl WindowedDecoder {
             obs_mask: (1u64 << num_observables) - 1,
             num_observables,
             config,
-            store: PlanStore::Virtual(Mutex::new(VirtualTable {
-                factory,
-                resolved: HashMap::new(),
-                canon: Vec::new(),
-            })),
+            store: PlanStore::Virtual(Mutex::new(PlanTable::new(factory))),
+            plan_builds: AtomicU64::new(0),
+            lowest_resolved: AtomicUsize::new(usize::MAX),
         }
     }
 
     /// Whether this decoder was built in sparse (lazy-plan, fast-forward)
     /// mode; virtual decoders are always sparse.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.store, PlanStore::Lazy(_) | PlanStore::Virtual(_))
+        self.table().is_some()
+    }
+
+    /// The on-demand plan table (sparse and virtual stores).
+    fn table(&self) -> Option<&Mutex<PlanTable>> {
+        match &self.store {
+            PlanStore::Eager(_) => None,
+            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => Some(table),
+        }
     }
 
     /// Whether this decoder serves windows from a [`RoundModelSource`]
@@ -521,38 +626,57 @@ impl WindowedDecoder {
     pub fn compiled_backends(&self) -> usize {
         match &self.store {
             PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy(table) => table.lock().unwrap().canon.len(),
-            PlanStore::Virtual(table) => table.lock().unwrap().canon.len(),
+            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => {
+                PlanTable::lock(table).canon.len()
+            }
         }
     }
 
     /// Number of resolved window plans currently retained. Eager decoders
     /// hold every window's plan for their whole lifetime; sparse decoders
     /// resolve plans on demand and evict them once committed, so this
-    /// stays bounded on arbitrarily long streams.
+    /// stays bounded on arbitrarily long streams. Virtual template plans
+    /// are not counted: there are a few per steady stretch, whatever the
+    /// horizon.
     pub fn live_plans(&self) -> usize {
         match &self.store {
             PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy(table) => table.lock().unwrap().resolved.len(),
-            PlanStore::Virtual(table) => table.lock().unwrap().resolved.len(),
+            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => {
+                PlanTable::lock(table).resolved.len()
+            }
         }
     }
 
-    /// Drops resolved lazy plans for windows below `floor` (a session's
-    /// commit frontier). The canonical shared backends stay — a lagging
-    /// concurrent session that still needs an evicted window re-resolves
-    /// its (cheap) plan shell and reuses the same backend, so eviction is
-    /// invisible to results.
+    /// Window assemblies performed so far, across every session of this
+    /// decoder: one per eager window at construction, one per on-demand
+    /// plan resolution (including re-resolution of an evicted plan), and
+    /// two per virtual template (the canonical window and its one-period
+    /// translate). Steady-state windows served by translation assemble
+    /// nothing, so on a periodic source this stops growing with the
+    /// horizon.
+    pub fn plan_builds(&self) -> u64 {
+        self.plan_builds.load(Ordering::Relaxed)
+    }
+
+    /// Drops resolved on-demand plans for windows below `floor` — the
+    /// *calling* session's commit frontier, not that of every live
+    /// session. A concurrent session lagging behind it that still needs
+    /// an evicted window re-resolves it: a full window assembly (about
+    /// 250 µs at d = 5) plus a structural lookup that finds the same
+    /// shared backend, so eviction costs time but never changes results.
+    /// Template plans are never evicted. Takes no lock when nothing
+    /// resolved lies below `floor`.
     fn evict_plans_below(&self, floor: usize) {
-        match &self.store {
-            PlanStore::Lazy(table) => {
-                table.lock().unwrap().resolved.retain(|&i, _| i >= floor);
-            }
-            PlanStore::Virtual(table) => {
-                table.lock().unwrap().resolved.retain(|&i, _| i >= floor);
-            }
-            PlanStore::Eager(_) => {}
+        if self.lowest_resolved.load(Ordering::Relaxed) >= floor {
+            return;
         }
+        let Some(table) = self.table() else {
+            return;
+        };
+        let mut table = PlanTable::lock(table);
+        table.resolved.retain(|&i, _| i >= floor);
+        let lowest = table.resolved.keys().copied().min().unwrap_or(usize::MAX);
+        self.lowest_resolved.store(lowest, Ordering::Relaxed);
     }
 
     /// `(start, end, cut)` of window `index`: it decodes rounds
@@ -571,50 +695,136 @@ impl WindowedDecoder {
         (start, end, cut)
     }
 
+    /// The template translation serving window `(start, end, cut)`, if
+    /// the model source reports one. Only full, non-final windows of a
+    /// virtual decoder qualify (every non-final window spans exactly
+    /// `config.window` rounds).
+    fn translation(&self, start: u32, end: u32, cut: u32) -> Option<WindowTranslation> {
+        if cut == u32::MAX {
+            return None;
+        }
+        self.source.as_ref()?.window_translation(start..end)
+    }
+
     /// Resolves window `index`'s plan: a direct lookup for eager
     /// decoders; for sparse ones, builds (or re-uses a structurally
     /// identical) plan on first touch.
     fn plan(&self, index: usize) -> Arc<WindowPlan> {
-        match &self.store {
-            PlanStore::Eager(plans) => Arc::clone(&plans[index]),
-            PlanStore::Lazy(table) => {
-                let mut table = table.lock().unwrap();
-                if let Some(plan) = table.resolved.get(&index) {
-                    return Arc::clone(plan);
-                }
-                let (start, end, cut) = self.window_bounds(index);
-                let (globals, window_graph, carries) =
-                    self.build_parts_lazy(&table, start, end, cut);
-                let table = &mut *table;
-                let decoder = Self::canon_decoder(&mut table.canon, &table.factory, window_graph);
-                let plan = Arc::new(WindowPlan {
-                    globals,
-                    decoder,
-                    carries,
-                });
-                table.resolved.insert(index, Arc::clone(&plan));
-                plan
-            }
-            PlanStore::Virtual(table) => {
-                let mut table = table.lock().unwrap();
-                if let Some(plan) = table.resolved.get(&index) {
-                    return Arc::clone(plan);
-                }
-                let (start, end, cut) = self.window_bounds(index);
-                let source = Arc::clone(self.source.as_ref().expect("virtual store has a source"));
-                let (globals, window_graph, carries) =
-                    self.build_parts_virtual(source.as_ref(), start, end, cut);
-                let table = &mut *table;
-                let decoder = Self::canon_decoder(&mut table.canon, &table.factory, window_graph);
-                let plan = Arc::new(WindowPlan {
-                    globals,
-                    decoder,
-                    carries,
-                });
-                table.resolved.insert(index, Arc::clone(&plan));
-                plan
-            }
+        let table = match &self.store {
+            PlanStore::Eager(plans) => return Arc::clone(&plans[index]),
+            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => table,
+        };
+        if let Some(plan) = PlanTable::lock(table).resolved.get(&index) {
+            return Arc::clone(plan);
         }
+        // Assemble outside the lock so sessions resolving other windows
+        // never wait on it; a racing twin assembles the identical plan
+        // and the first insert wins.
+        let (start, end, cut) = self.window_bounds(index);
+        let (globals, window_graph, carries) = self.build_parts(start, end, cut);
+        let mut table = PlanTable::lock(table);
+        let table = &mut *table;
+        if let Some(plan) = table.resolved.get(&index) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(WindowPlan {
+            globals,
+            decoder: Self::canon_decoder(&mut table.canon, &table.factory, window_graph),
+            carries,
+            strides: Vec::new(),
+            carry_strides: Vec::new(),
+        });
+        table.resolved.insert(index, Arc::clone(&plan));
+        self.lowest_resolved.fetch_min(index, Ordering::Relaxed);
+        plan
+    }
+
+    /// Resolves the template plan serving the steady-state windows that
+    /// translate to `t.canonical_start`. Built on first touch from the
+    /// canonical window and its one-period translate — their difference
+    /// is each local detector's (and carry target's) stride — then shared
+    /// by every session and never evicted. The backend is the one
+    /// [`canon_decoder`](Self::canon_decoder) picks for the canonical
+    /// window graph, i.e. the one a direct assembly would have shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source's translation claim is false (the two windows
+    /// differ in shape).
+    fn template(&self, t: WindowTranslation) -> Arc<WindowPlan> {
+        let table = self.table().expect("templates need an on-demand store");
+        if let Some(plan) = PlanTable::lock(table).templates.get(&t.canonical_start) {
+            return Arc::clone(plan);
+        }
+        let WindowConfig { window, commit } = self.config;
+        let (s0, s1) = (t.canonical_start, t.canonical_start + t.period);
+        let (globals, window_graph, carries) = self.build_parts(s0, s0 + window, s0 + commit);
+        let (next_globals, next_graph, next_carries) =
+            self.build_parts(s1, s1 + window, s1 + commit);
+        assert!(
+            globals.len() == next_globals.len()
+                && window_graph.edges() == next_graph.edges()
+                && carries
+                    .iter()
+                    .map(|c| c.0)
+                    .eq(next_carries.iter().map(|c| c.0)),
+            "model source claims window [{s1}, {}) translates window [{s0}, {}), \
+             but their graphs differ",
+            s1 + window,
+            s0 + window
+        );
+        let stride = |a: u32, b: u32| b.checked_sub(a).expect("translation moves detectors up");
+        let strides = globals
+            .iter()
+            .zip(&next_globals)
+            .map(|(&a, &b)| stride(a, b))
+            .collect();
+        let carry_strides = carries
+            .iter()
+            .zip(&next_carries)
+            .map(|(a, b)| stride(a.1, b.1))
+            .collect();
+        let mut table = PlanTable::lock(table);
+        let table = &mut *table;
+        if let Some(plan) = table.templates.get(&s0) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(WindowPlan {
+            globals,
+            decoder: Self::canon_decoder(&mut table.canon, &table.factory, window_graph),
+            carries,
+            strides,
+            carry_strides,
+        });
+        table.templates.insert(s0, Arc::clone(&plan));
+        plan
+    }
+
+    /// Window `index` assembled directly, and — when the model source
+    /// serves it by translation — as the decoder actually resolves it
+    /// from its template: the equivalence surface for translation tests.
+    #[doc(hidden)]
+    pub fn window_parts(&self, index: usize) -> (WindowParts, Option<WindowParts>) {
+        let (start, end, cut) = self.window_bounds(index);
+        let (globals, graph, carries) = self.build_parts(start, end, cut);
+        let direct = WindowParts {
+            globals,
+            graph,
+            carries,
+        };
+        let translated = self.translation(start, end, cut).map(|t| {
+            let plan = self.template(t);
+            WindowParts {
+                globals: (0..plan.globals.len())
+                    .map(|k| plan.global(k, t.reps))
+                    .collect(),
+                graph: plan.decoder.graph().clone(),
+                carries: (0..plan.carries.len())
+                    .map(|j| (plan.carries[j].0, plan.carry_target(j, t.reps)))
+                    .collect(),
+            }
+        });
+        (direct, translated)
     }
 
     /// Finds (or compiles) the canonical shared backend for a window
@@ -643,14 +853,27 @@ impl WindowedDecoder {
         }
     }
 
+    /// Assembles the window over `[start, end)` committing below `cut`
+    /// from whatever this decoder holds — the model source, the
+    /// round-major index, or the full graph — counting it in
+    /// [`plan_builds`](Self::plan_builds).
+    fn build_parts(&self, start: u32, end: u32, cut: u32) -> Parts {
+        self.plan_builds.fetch_add(1, Ordering::Relaxed);
+        match (&self.source, &self.store) {
+            (Some(source), _) => self.build_parts_virtual(source.as_ref(), start, end, cut),
+            (
+                None,
+                PlanStore::Lazy {
+                    dets, round_start, ..
+                },
+            ) => self.build_parts_lazy(dets, round_start, start, end, cut),
+            (None, _) => self.build_parts_eager(start, end, cut),
+        }
+    }
+
     /// Eager window-part construction: O(detectors + edges) scans, used
     /// once per window at build time.
-    fn build_parts_eager(
-        &self,
-        start: u32,
-        end: u32,
-        cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
+    fn build_parts_eager(&self, start: u32, end: u32, cut: u32) -> Parts {
         let mut globals: Vec<u32> = Vec::new();
         let mut local_vec = vec![u32::MAX; self.graph.num_nodes()];
         for (det, &round) in self.rounds_of.iter().enumerate() {
@@ -678,14 +901,15 @@ impl WindowedDecoder {
     /// order), so the resulting plans are bit-identical.
     fn build_parts_lazy(
         &self,
-        table: &PlanTable,
+        dets: &[u32],
+        round_start: &[u32],
         start: u32,
         end: u32,
         cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
-        let lo = table.round_start[start as usize] as usize;
-        let hi = table.round_start[end as usize] as usize;
-        let mut globals: Vec<u32> = table.dets[lo..hi].to_vec();
+    ) -> Parts {
+        let lo = round_start[start as usize] as usize;
+        let hi = round_start[end as usize] as usize;
+        let mut globals: Vec<u32> = dets[lo..hi].to_vec();
         globals.sort_unstable();
         let mut edge_ids: Vec<usize> = Vec::new();
         for &det in &globals {
@@ -718,7 +942,7 @@ impl WindowedDecoder {
         start: u32,
         end: u32,
         cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
+    ) -> Parts {
         let mut globals: Vec<u32> = Vec::new();
         source.detectors_in(start..end, &mut globals);
         globals.sort_unstable();
@@ -1046,6 +1270,14 @@ pub(crate) struct SessionCore {
     /// The session's decode arena, threaded into every backend call; one
     /// slab per session, reused across windows and epochs.
     workspace: DecodeWorkspace,
+    /// Template plans this session has used, keyed by canonical start
+    /// (at most [`SESSION_TEMPLATES`], oldest dropped first): steady-state
+    /// windows resolve here without touching the shared plan store.
+    templates: Vec<(u32, Arc<WindowPlan>)>,
+    /// Windows decoded through the backend.
+    windows_decoded: u64,
+    /// Windows committed without the backend because they were clean.
+    windows_fast_forwarded: u64,
 }
 
 impl SessionCore {
@@ -1077,6 +1309,9 @@ impl SessionCore {
             predictions: Vec::new(),
             window_batch: BitBatch::with_lanes(0, lanes),
             workspace: DecodeWorkspace::default(),
+            templates: Vec::new(),
+            windows_decoded: 0,
+            windows_fast_forwarded: 0,
         }
     }
 
@@ -1128,6 +1363,10 @@ impl SessionCore {
         // truncates live data.
         self.window_batch.reset_rows(0);
         self.window_batch.set_lanes(lanes);
+        // Templates belong to the decoder the core last served.
+        self.templates.clear();
+        self.windows_decoded = 0;
+        self.windows_fast_forwarded = 0;
         // `predictions` and `workspace` are pure scratch: reused as-is.
     }
 
@@ -1206,21 +1445,32 @@ impl SessionCore {
     /// Decodes every plan whose window is fully streamed. Sparse decoders
     /// skip windows proven clean by the dirty bitmap — exact, because an
     /// all-zero window batch decodes to an empty matching with zero
-    /// observable flips and no carries.
+    /// observable flips and no carries. Steady-state virtual windows
+    /// decode as translates of a template plan.
     fn drain_ready(&mut self, decoder: &WindowedDecoder) {
         let sparse = decoder.is_sparse();
         let committed_from = self.next_plan;
         while self.next_plan < decoder.num_windows() {
-            let (start, end, _cut) = decoder.window_bounds(self.next_plan);
+            let (start, end, cut) = decoder.window_bounds(self.next_plan);
             if end > self.filled_rounds {
                 break;
             }
             if sparse && self.window_is_clean(start, end) {
+                self.windows_fast_forwarded += 1;
                 self.next_plan += 1;
                 continue;
             }
-            let plan = decoder.plan(self.next_plan);
-            self.decode_plan(decoder, &plan);
+            match decoder.translation(start, end, cut) {
+                Some(t) => {
+                    let plan = self.template(decoder, t);
+                    self.decode_plan(decoder, &plan, t.reps);
+                }
+                None => {
+                    let plan = decoder.plan(self.next_plan);
+                    self.decode_plan(decoder, &plan, 0);
+                }
+            }
+            self.windows_decoded += 1;
             self.next_plan += 1;
         }
         if sparse && self.next_plan > committed_from {
@@ -1247,22 +1497,39 @@ impl SessionCore {
         }
     }
 
-    /// Decodes window `plan` against the global per-detector defect words
-    /// (lane `b` = shot `b`), XOR-ing each lane's committed observables
-    /// into `observables` and applying carry flips back into `defects`.
+    /// The template plan for translation `t`, from the session's own
+    /// cache when it has used it before (no lock), else from the decoder.
+    fn template(&mut self, decoder: &WindowedDecoder, t: WindowTranslation) -> Arc<WindowPlan> {
+        if let Some((_, plan)) = self.templates.iter().find(|e| e.0 == t.canonical_start) {
+            return Arc::clone(plan);
+        }
+        let plan = decoder.template(t);
+        if self.templates.len() == SESSION_TEMPLATES {
+            self.templates.remove(0);
+        }
+        self.templates.push((t.canonical_start, Arc::clone(&plan)));
+        plan
+    }
+
+    /// Decodes window `plan`, translated `shift` template periods on (0
+    /// for directly assembled plans), against the global per-detector
+    /// defect words (lane `b` = shot `b`), XOR-ing each lane's committed
+    /// observables into `observables` and applying carry flips back into
+    /// `defects`.
     /// `window_batch` is session-owned scratch (reshaped here), reused
     /// across the whole stream; the backend call goes through
     /// [`Decoder::decode_batch_with`] with the session's single
     /// [`DecodeWorkspace`], so every buffer — lane extraction, Dijkstra
     /// state, blossom tables, peeling forest — persists across windows and
     /// epochs and the steady-state decode performs zero heap allocations.
-    fn decode_plan(&mut self, decoder: &WindowedDecoder, plan: &WindowPlan) {
+    fn decode_plan(&mut self, decoder: &WindowedDecoder, plan: &WindowPlan, shift: u32) {
         if plan.globals.is_empty() {
             return;
         }
         self.window_batch.reset_rows(plan.globals.len());
-        for (local, &global) in plan.globals.iter().enumerate() {
-            self.window_batch.set_word(local, self.defects.get(global));
+        for local in 0..plan.globals.len() {
+            let word = self.defects.get(plan.global(local, shift));
+            self.window_batch.set_word(local, word);
         }
         plan.decoder.decode_batch_with(
             &self.window_batch,
@@ -1272,8 +1539,9 @@ impl SessionCore {
         for (lane, &prediction) in self.predictions.iter().enumerate() {
             self.observables[lane] ^= prediction & decoder.obs_mask;
             if prediction & !decoder.obs_mask != 0 {
-                for &(bit, target) in &plan.carries {
+                for (j, &(bit, _)) in plan.carries.iter().enumerate() {
                     if (prediction >> bit) & 1 == 1 {
+                        let target = plan.carry_target(j, shift);
                         self.defects.xor(target, 1u64 << lane);
                         // A carry re-dirties its target round, which may
                         // sit arbitrarily far ahead (open-boundary commits
@@ -1319,6 +1587,18 @@ impl WindowedSession<'_> {
     /// Number of windows already committed.
     pub fn windows_committed(&self) -> usize {
         self.core.next_plan
+    }
+
+    /// Committed windows decoded through the backend.
+    pub fn windows_decoded(&self) -> u64 {
+        self.core.windows_decoded
+    }
+
+    /// Committed windows fast-forwarded without the backend because no
+    /// defect reached them; `windows_decoded() + windows_fast_forwarded()`
+    /// equals [`windows_committed`](Self::windows_committed).
+    pub fn windows_fast_forwarded(&self) -> u64 {
+        self.core.windows_fast_forwarded
     }
 
     /// Per-lane committed observable masks accumulated so far.
@@ -1381,6 +1661,18 @@ impl OwnedWindowedSession {
         self.core.next_plan
     }
 
+    /// Committed windows decoded through the backend.
+    pub fn windows_decoded(&self) -> u64 {
+        self.core.windows_decoded
+    }
+
+    /// Committed windows fast-forwarded without the backend because no
+    /// defect reached them; `windows_decoded() + windows_fast_forwarded()`
+    /// equals [`windows_committed`](Self::windows_committed).
+    pub fn windows_fast_forwarded(&self) -> u64 {
+        self.core.windows_fast_forwarded
+    }
+
     /// Rounds `0..filled_rounds()` have been pushed.
     pub fn filled_rounds(&self) -> u32 {
         self.core.filled_rounds
@@ -1394,6 +1686,12 @@ impl OwnedWindowedSession {
     /// The shared decoder this session feeds.
     pub fn decoder(&self) -> &Arc<WindowedDecoder> {
         &self.decoder
+    }
+
+    /// Window-plan assemblies of the shared decoder (see
+    /// [`WindowedDecoder::plan_builds`]).
+    pub fn plan_builds(&self) -> u64 {
+        self.decoder.plan_builds()
     }
 
     /// See [`WindowedSession::push_round`].

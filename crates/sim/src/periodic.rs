@@ -43,7 +43,7 @@ use rand::Rng;
 use surf_defects::{DefectEpisode, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::Basis;
-use surf_matching::{xor_probability, RoundModelSource, SourceEdge};
+use surf_matching::{xor_probability, RoundModelSource, SourceEdge, WindowTranslation};
 use surf_pauli::BitBatch;
 
 use crate::model::{Channel, DecoderPrior};
@@ -326,6 +326,9 @@ pub struct PeriodicModel {
     epoch_det_ends: Vec<u32>,
     groups: Vec<PGroup>,
     expected_fires_per_round: f64,
+    /// Per round-map segment: whether windows inside it may be served by
+    /// template translation (see [`PeriodicModel::translatable_segments`]).
+    translatable: Vec<bool>,
 }
 
 impl PeriodicModel {
@@ -689,7 +692,7 @@ impl PeriodicModel {
         }
         let expected_fires_per_round = expected / rounds as f64;
 
-        Some(PeriodicModel {
+        let mut model = PeriodicModel {
             map,
             compressed,
             rounds,
@@ -707,7 +710,39 @@ impl PeriodicModel {
             epoch_det_ends,
             groups,
             expected_fires_per_round,
-        })
+            translatable: Vec::new(),
+        };
+        model.translatable = model.translatable_segments();
+        Some(model)
+    }
+
+    /// Which round-map segments serve windows by translation: template
+    /// segments whose every template channel references only periodic
+    /// detectors (non-zero stride) at most [`ROUND_PAD`] rounds after the
+    /// channel, each reference staying in one graph epoch over all
+    /// repetitions. Then shifting a window inside the segment by one
+    /// period shifts every detector, merged edge and carry target by its
+    /// block's per-period count, and leaves the epoch-major edge order
+    /// unchanged.
+    fn translatable_segments(&self) -> Vec<bool> {
+        let mut ok: Vec<bool> = self.map.segs.iter().map(Seg::template).collect();
+        for run in &self.runs {
+            let comp_round = self.compressed.model.channels[run.first_chan as usize].round;
+            let Some(si) = self.map.template_seg_of_comp(comp_round) else {
+                continue;
+            };
+            let periodic = run.chans.iter().all(|rc| {
+                rc.dets.iter().all(|&(base, stride)| {
+                    let last = base + (run.reps - 1) * stride;
+                    let round = RoundModelSource::detector_round(self, base);
+                    stride != 0
+                        && (rc.round0..=rc.round0 + ROUND_PAD).contains(&round)
+                        && self.epoch_of_det(base) == self.epoch_of_det(last)
+                })
+            });
+            ok[si] &= periodic;
+        }
+        ok
     }
 
     /// Noisy rounds of the underlying experiment (readout at `rounds`).
@@ -1038,6 +1073,36 @@ impl RoundModelSource for PeriodicModel {
                 out.push(self.expand_det(v, j));
             }
         }
+    }
+
+    /// A window translates when its padded range `[start − ROUND_PAD,
+    /// end + ROUND_PAD)` — every contributing channel and every detector
+    /// they reference — lies inside one translatable template segment.
+    /// The canonical start is the segment's first such start in the same
+    /// phase modulo the template period, provided its one-period
+    /// translate fits too.
+    fn window_translation(&self, rounds: Range<u32>) -> Option<WindowTranslation> {
+        let len = rounds.end.checked_sub(rounds.start)?;
+        let lo = rounds.start.checked_sub(ROUND_PAD)?;
+        if lo >= self.rounds {
+            return None;
+        }
+        let si = self.map.seg_of_real(lo);
+        if !self.translatable[si] {
+            return None;
+        }
+        let seg = &self.map.segs[si];
+        let first = seg.real_start + ROUND_PAD;
+        let canonical_start = first + (rounds.start - first) % PERIOD;
+        let fits = |start: u32| start + len + ROUND_PAD <= seg.real_start + seg.real_len();
+        if !fits(rounds.start) || !fits(canonical_start + PERIOD) {
+            return None;
+        }
+        Some(WindowTranslation {
+            canonical_start,
+            reps: (rounds.start - canonical_start) / PERIOD,
+            period: PERIOD,
+        })
     }
 
     fn window_edges(&self, rounds: Range<u32>, out: &mut Vec<SourceEdge>) {

@@ -385,10 +385,26 @@ impl SessionShared {
                 let span = round_start[round as usize]..round_start[round as usize + 1];
                 Cow::Borrowed(&order[span])
             }
-            SessionModel::Periodic(pm) => {
+            SessionModel::Periodic(_) => {
                 let mut out = Vec::new();
-                RoundModelSource::detectors_in(&**pm, round..round + 1, &mut out);
+                self.round_detectors(round, &mut out);
                 Cow::Owned(out)
+            }
+        }
+    }
+
+    /// `round`'s detector ids: borrowed from the precomputed tables on the
+    /// monolithic path, written into `scratch` on the periodic path — so
+    /// a caller reusing one scratch buffer allocates nothing per round.
+    fn round_detectors<'a>(&'a self, round: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        match &self.model {
+            SessionModel::Mono {
+                order, round_start, ..
+            } => &order[round_start[round as usize]..round_start[round as usize + 1]],
+            SessionModel::Periodic(pm) => {
+                scratch.clear();
+                RoundModelSource::detectors_in(&**pm, round..round + 1, scratch);
+                scratch
             }
         }
     }
@@ -477,6 +493,8 @@ pub struct DecodeSession {
     /// Pushed rounds, kept for replay on
     /// [`inject_event`](Self::inject_event)/[`replan`](Self::replan).
     history: Vec<RoundRecord>,
+    /// Reusable detector-id buffer for dense pushes on the periodic path.
+    round_dets: Vec<u32>,
 }
 
 impl DecodeSession {
@@ -486,6 +504,7 @@ impl DecodeSession {
             shared,
             inner,
             history: Vec::new(),
+            round_dets: Vec::new(),
         }
     }
 
@@ -521,6 +540,33 @@ impl DecodeSession {
         self.shared
             .decoder
             .commit_horizon(self.inner.windows_committed())
+    }
+
+    /// Windows the stream is decoded in.
+    pub fn num_windows(&self) -> usize {
+        self.shared.decoder.num_windows()
+    }
+
+    /// Committed windows decoded through the backend (since open, or
+    /// since the last [`inject_event`](Self::inject_event)/
+    /// [`replan`](Self::replan), which replay the history into a fresh
+    /// decoder).
+    pub fn windows_decoded(&self) -> u64 {
+        self.inner.windows_decoded()
+    }
+
+    /// Committed windows fast-forwarded without the backend because no
+    /// defect reached them; together with
+    /// [`windows_decoded`](Self::windows_decoded) this accounts for every
+    /// committed window.
+    pub fn windows_fast_forwarded(&self) -> u64 {
+        self.inner.windows_fast_forwarded()
+    }
+
+    /// Window-plan assemblies performed by the decoder this session
+    /// shares with its forks (see [`WindowedDecoder::plan_builds`]).
+    pub fn plan_builds(&self) -> u64 {
+        self.shared.decoder.plan_builds()
     }
 
     /// Detector ids of `round`, in the canonical push order (ascending;
@@ -611,7 +657,7 @@ impl DecodeSession {
         if round >= self.shared.total_rounds {
             return Err(SessionError::StreamComplete);
         }
-        let detectors = self.shared.detectors_of(round);
+        let detectors = self.shared.round_detectors(round, &mut self.round_dets);
         if words.len() != detectors.len() {
             return Err(SessionError::WordCount {
                 round,
@@ -619,7 +665,7 @@ impl DecodeSession {
                 got: words.len(),
             });
         }
-        self.inner.push_round(round, &detectors, words);
+        self.inner.push_round(round, detectors, words);
         if words.iter().all(|&w| w == 0) {
             self.record_silent(1);
         } else {
@@ -809,7 +855,7 @@ impl DecodeSession {
             match record {
                 RoundRecord::Dense(words) => {
                     let r = inner.filled_rounds();
-                    inner.push_round(r, &shared.detectors_of(r), words);
+                    inner.push_round(r, shared.round_detectors(r, &mut self.round_dets), words);
                 }
                 RoundRecord::Sparse { detectors, words } => {
                     let r = inner.filled_rounds();
