@@ -46,7 +46,6 @@ fn build(model: &DetectorModel, sparse: bool) -> WindowedDecoder {
     construct(
         model.graph.clone(),
         model.detector_rounds.clone(),
-        1,
         WindowConfig::new(2 * D as u32),
         DecoderKind::Mwpm.factory(),
     )

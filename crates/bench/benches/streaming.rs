@@ -28,7 +28,6 @@ fn windowed(model: &DetectorModel, window: u32) -> WindowedDecoder {
     WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
-        1,
         WindowConfig::new(window),
         DecoderKind::Mwpm.factory(),
     )
@@ -70,8 +69,7 @@ fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, d), &d, |b, _| {
                 b.iter(|| {
                     for batch in &batches {
-                        streamer.decode_batch(batch, &mut predictions);
-                        std::hint::black_box(&predictions);
+                        std::hint::black_box(streamer.decode_history(batch));
                     }
                 });
             });

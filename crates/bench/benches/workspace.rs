@@ -41,7 +41,6 @@ fn bench_steady_state_commit_latency(c: &mut Criterion) {
         let streamer = WindowedDecoder::new(
             model.graph.clone(),
             model.detector_rounds.clone(),
-            1,
             WindowConfig::new(2 * d as u32),
             kind.factory(),
         );

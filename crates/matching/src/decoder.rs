@@ -2,7 +2,9 @@
 //! pipeline.
 //!
 //! Every syndrome decoder in the workspace implements [`Decoder`]:
-//! a scalar [`decode`](Decoder::decode) over a sparse syndrome, and a
+//! a scalar [`decode`](Decoder::decode) over a sparse syndrome, a
+//! [`decode_correction`](Decoder::decode_correction) that also reports
+//! the correction's edges, and a
 //! [`decode_batch`](Decoder::decode_batch) over a 64-lane [`BitBatch`]
 //! whose implementations reuse their scratch allocations across shots.
 //! Monte-Carlo drivers (`surf_sim::MemoryExperiment`) hold a
@@ -11,8 +13,11 @@
 //! # Plugging in a new decoder
 //!
 //! Implement [`Decoder`] for your type (it must be `Send + Sync`, since
-//! experiment drivers share one instance across worker threads). The
-//! default `decode_batch` extracts each lane and calls `decode`; override
+//! experiment drivers share one instance across worker threads). Both
+//! `decode` and `decode_correction` are required: the streaming
+//! [`WindowedDecoder`](crate::WindowedDecoder) commits windows from the
+//! reported correction. The default `decode_batch` extracts each lane and
+//! calls `decode`; override
 //! it when your decoder can hoist per-shot allocations into a reusable
 //! workspace, as [`MwpmDecoder`](crate::MwpmDecoder) and
 //! [`UnionFindDecoder`](crate::UnionFindDecoder) do.
@@ -48,10 +53,9 @@ pub struct DecodeWorkspace {
     pub(crate) wide_stage: BitBatch,
     /// Per-sub-word prediction scratch for wide-batch decoding.
     pub(crate) wide_predictions: Vec<u64>,
-    /// Cached whole-history session core for
-    /// [`WindowedDecoder`](crate::WindowedDecoder) batch decodes: built on
-    /// first use, then reset (allocation-preserving) per call.
-    pub(crate) windowed: Option<Box<crate::windowed::SessionCore>>,
+    /// Edge ids (in the decoder's graph) of the corrections reported by
+    /// [`Decoder::decode_correction`], which appends and never clears.
+    pub correction: Vec<usize>,
 }
 
 /// A syndrome decoder over a [`DecodingGraph`].
@@ -59,7 +63,7 @@ pub struct DecodeWorkspace {
 /// # Example
 ///
 /// ```
-/// use surf_matching::{Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
+/// use surf_matching::{DecodeWorkspace, Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
 ///
 /// let mut g = DecodingGraph::new(2);
 /// g.add_edge(0, None, 1e-2, 1);
@@ -72,6 +76,10 @@ pub struct DecodeWorkspace {
 /// for d in &decoders {
 ///     assert_eq!(d.decode(&[0]), 1);
 ///     assert_eq!(d.decode(&[0, 1]), 0);
+///     // The correction for {0, 1} is the single edge between them.
+///     let mut workspace = DecodeWorkspace::default();
+///     assert_eq!(d.decode_correction(&[0, 1], &mut workspace), 0);
+///     assert_eq!(workspace.correction, vec![1]);
 /// }
 /// ```
 pub trait Decoder: Send + Sync {
@@ -81,6 +89,13 @@ pub trait Decoder: Send + Sync {
     /// Decodes one syndrome (flagged detector indices; duplicates cancel
     /// pairwise) into the predicted observable-flip mask.
     fn decode(&self, syndrome: &[usize]) -> u64;
+
+    /// Decodes one syndrome like [`decode`](Decoder::decode) and appends
+    /// the correction — ids of [`graph`](Decoder::graph) edges whose
+    /// flips explain the syndrome — to `workspace.correction`. An edge
+    /// listed twice cancels: the XOR of the listed edges' observables is
+    /// the returned mask, and their endpoints flip the syndrome.
+    fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64;
 
     /// Decodes all active lanes of `batch` (one detector row per graph
     /// node), pushing one observable-flip mask per shot into `predictions`
@@ -174,6 +189,10 @@ impl<D: Decoder + ?Sized> Decoder for &D {
         (**self).decode(syndrome)
     }
 
+    fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
+        (**self).decode_correction(syndrome, workspace)
+    }
+
     fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
         (**self).decode_batch(batch, predictions)
     }
@@ -197,6 +216,10 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
         (**self).decode(syndrome)
     }
 
+    fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
+        (**self).decode_correction(syndrome, workspace)
+    }
+
     fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
         (**self).decode_batch(batch, predictions)
     }
@@ -215,8 +238,9 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
 mod tests {
     use super::*;
 
-    /// A decoder that predicts a flip iff the syndrome is non-empty; used
-    /// to exercise the default `decode_batch`.
+    /// A decoder that predicts a flip iff the syndrome is non-empty and
+    /// reports no correction edges; used to exercise the default
+    /// `decode_batch`.
     struct ParityStub(DecodingGraph);
 
     impl Decoder for ParityStub {
@@ -226,6 +250,10 @@ mod tests {
 
         fn decode(&self, syndrome: &[usize]) -> u64 {
             u64::from(!syndrome.is_empty())
+        }
+
+        fn decode_correction(&self, syndrome: &[usize], _: &mut DecodeWorkspace) -> u64 {
+            self.decode(syndrome)
         }
     }
 

@@ -97,6 +97,21 @@ impl DecodingGraph {
     /// Panics if an endpoint is out of range or the probability is outside
     /// `[0, 1)`... (probability 0 edges are ignored).
     pub fn add_edge(&mut self, a: usize, b: Option<usize>, probability: f64, observables: u64) {
+        self.add_edge_where(a, b, probability, observables, |_| true);
+    }
+
+    /// [`add_edge`](Self::add_edge) that merges into an identical existing
+    /// edge `e` only if `mergeable(e)` also holds, so callers can keep
+    /// mechanisms apart that the graph cannot tell apart. Returns the id
+    /// of the edge the mechanism landed in (`None` for probability 0).
+    pub(crate) fn add_edge_where(
+        &mut self,
+        a: usize,
+        b: Option<usize>,
+        probability: f64,
+        observables: u64,
+        mergeable: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         assert!(a < self.num_nodes, "endpoint {a} out of range");
         if let Some(b) = b {
             assert!(b < self.num_nodes, "endpoint {b} out of range");
@@ -104,20 +119,21 @@ impl DecodingGraph {
         }
         assert!((0.0..=1.0).contains(&probability), "invalid probability");
         if probability == 0.0 {
-            return;
+            return None;
         }
         // Merge with an existing identical mechanism if present.
         let existing = self.adjacency[a].iter().copied().find(|&e| {
             let edge = &self.edges[e];
             let same_endpoints =
                 (edge.a == a && edge.b == b) || (b == Some(edge.a) && edge.b == Some(a));
-            edge.observables == observables && same_endpoints
+            edge.observables == observables && same_endpoints && mergeable(e)
         });
         match existing {
             Some(e) => {
                 let p = xor_probability(self.edges[e].probability, probability);
                 self.edges[e].probability = p;
                 self.edges[e].weight = Self::weight_of(p);
+                Some(e)
             }
             None => {
                 let edge = Edge {
@@ -133,6 +149,7 @@ impl DecodingGraph {
                 if let Some(b) = b {
                     self.adjacency[b].push(idx);
                 }
+                Some(idx)
             }
         }
     }

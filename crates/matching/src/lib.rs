@@ -8,7 +8,9 @@
 //! * [`DecodingGraph`] — weighted detector graphs with an implicit boundary
 //!   and per-edge observable masks.
 //! * [`Decoder`] — the trait every decoder implements: scalar
-//!   [`decode`](Decoder::decode) plus a batch path
+//!   [`decode`](Decoder::decode), a
+//!   [`decode_correction`](Decoder::decode_correction) that also reports
+//!   the correction's edges, and a batch path
 //!   ([`decode_batch`](Decoder::decode_batch)) over 64-lane
 //!   [`surf_pauli::BitBatch`]es that reuses scratch allocations across
 //!   shots.
@@ -19,9 +21,10 @@
 //!   for ablations and for dense 50 %-noise syndromes, with a reusable
 //!   [`UfScratch`] workspace.
 //! * [`WindowedDecoder`] — streaming decoding over overlapping
-//!   round-windows of either backend: commits matches window by window and
-//!   carries boundary defects forward, so corrections for old rounds are
-//!   final while new rounds are still being sampled.
+//!   round-windows of any backend: commits each window's reported
+//!   correction and carries the defects it leaves at the commit cut
+//!   forward, so corrections for old rounds are final while new rounds are
+//!   still being sampled, at any code distance.
 //!
 //! # Example
 //!

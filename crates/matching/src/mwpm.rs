@@ -10,6 +10,11 @@
 //!    cost), optionally keeping only each node's nearest neighbours.
 //! 3. Solve exactly with the blossom algorithm; XOR the observable parities
 //!    of the matched paths.
+//! 4. When the caller asks for the correction
+//!    ([`Decoder::decode_correction`]), re-run step 1's Dijkstra from each
+//!    matched source, stopping as soon as the partner (or the boundary) is
+//!    final, and walk the predecessor edges of the very path whose
+//!    observables step 3 XORed.
 //!
 //! All per-call allocations (Dijkstra distance/visited arrays, the heap,
 //! and the matching-instance buffers) live in a reusable [`MwpmScratch`];
@@ -53,6 +58,18 @@ pub struct MwpmDecoder {
     max_neighbors: usize,
 }
 
+/// When a Dijkstra run may stop.
+#[derive(Clone, Copy, Debug)]
+enum Until {
+    /// Every flagged target and the boundary are final (the matching
+    /// instance pass).
+    AllTargets,
+    /// The given detector is settled.
+    Settled(usize),
+    /// The boundary distance is final.
+    Boundary,
+}
+
 /// Weight scale: f64 path weights are rounded to integers at this
 /// resolution for the exact integer blossom solver.
 const WEIGHT_SCALE: f64 = 1024.0;
@@ -74,12 +91,15 @@ pub struct MwpmScratch {
     // --- Dijkstra state, reset via `touched`.
     dist: Vec<f64>,
     obs: Vec<u64>,
+    /// Edge that last improved each node's distance (valid once settled).
+    pred: Vec<usize>,
     settled: Vec<bool>,
     touched: Vec<usize>,
     heap: BinaryHeap<(Reverse<OrderedF64>, usize)>,
     // --- Matching instance.
     pair_info: Vec<Option<(f64, u64)>>,
-    boundary_info: Vec<Option<(f64, u64)>>,
+    /// Best boundary (distance, path observables, boundary edge).
+    boundary_info: Vec<Option<(f64, u64, usize)>>,
     edges: Vec<(usize, usize, i64)>,
     neigh: Vec<(usize, f64)>,
     /// Blossom-solver arena (dual variables, labels, tree pointers, …).
@@ -95,6 +115,7 @@ impl MwpmScratch {
             self.target_idx.resize(n, usize::MAX);
             self.dist.resize(n, f64::INFINITY);
             self.obs.resize(n, 0);
+            self.pred.resize(n, usize::MAX);
             self.settled.resize(n, false);
         }
     }
@@ -143,6 +164,17 @@ impl MwpmDecoder {
 
     /// Decodes a syndrome reusing `scratch` for every internal allocation.
     pub fn decode_with(&self, syndrome: &[usize], scratch: &mut MwpmScratch) -> u64 {
+        self.decode_into(syndrome, scratch, None)
+    }
+
+    /// [`decode_with`](Self::decode_with), also appending the matched
+    /// paths' edge ids to `correction` when one is given.
+    fn decode_into(
+        &self,
+        syndrome: &[usize],
+        scratch: &mut MwpmScratch,
+        correction: Option<&mut Vec<usize>>,
+    ) -> u64 {
         dedup_parity_into(syndrome, &mut scratch.sort_buf, &mut scratch.flagged);
         if scratch.flagged.is_empty() {
             return 0;
@@ -157,8 +189,10 @@ impl MwpmDecoder {
         scratch.pair_info.resize(m * m, None);
         scratch.boundary_info.clear();
         scratch.boundary_info.resize(m, None);
-        for i in 0..m {
-            self.dijkstra(i, m, scratch);
+        // Source 0 runs last, so its search state survives for
+        // `push_matched_paths` (the order does not change any result).
+        for i in (0..m).rev() {
+            scratch.boundary_info[i] = self.dijkstra(i, m, Until::AllTargets, scratch);
         }
         // Flagged registry is no longer needed; clean it for the next call.
         for &d in &scratch.flagged {
@@ -191,7 +225,7 @@ impl MwpmDecoder {
                     scratch.edges.push((j, i, scale(d)));
                 }
             }
-            if let Some((d, _)) = scratch.boundary_info[i] {
+            if let Some((d, _, _)) = scratch.boundary_info[i] {
                 scratch.edges.push((i, m + i, scale(d)));
             }
         }
@@ -224,17 +258,66 @@ impl MwpmDecoder {
                     .1;
             }
         }
+        if let Some(correction) = correction {
+            self.push_matched_paths(m, scratch, correction);
+        }
         obs
     }
 
+    /// Appends the edges of every matched path, replaying each one's
+    /// Dijkstra from the matched source (the registry is clean, so the
+    /// replay records nothing) up to the point where the path is final.
+    /// Source 0's search is still in `scratch` and needs no replay.
+    fn push_matched_paths(&self, m: usize, scratch: &mut MwpmScratch, correction: &mut Vec<usize>) {
+        for i in 0..m {
+            let partner = scratch.mate[i];
+            let end = if partner < m {
+                if partner < i {
+                    continue;
+                }
+                let target = scratch.flagged[partner];
+                if i > 0 {
+                    self.dijkstra(i, m, Until::Settled(target), scratch);
+                }
+                target
+            } else {
+                let boundary = match i {
+                    0 => scratch.boundary_info[0],
+                    _ => self.dijkstra(i, m, Until::Boundary, scratch),
+                };
+                let (_, _, e) = boundary.expect("matched boundary must be reachable");
+                correction.push(e);
+                self.graph.edges()[e].a
+            };
+            let (src, mut v) = (scratch.flagged[i], end);
+            while v != src {
+                let edge = &self.graph.edges()[scratch.pred[v]];
+                correction.push(scratch.pred[v]);
+                v = if edge.a == v {
+                    edge.b.expect("path edge")
+                } else {
+                    edge.a
+                };
+            }
+        }
+    }
+
     /// Dijkstra from flagged node `src_idx`, recording the best (distance,
-    /// path-observables) to each flagged target and to the boundary in
-    /// `scratch.pair_info` / `scratch.boundary_info`. Terminates once all
-    /// targets and the boundary are settled.
-    fn dijkstra(&self, src_idx: usize, m: usize, scratch: &mut MwpmScratch) {
+    /// path-observables) to each registered flagged target in
+    /// `scratch.pair_info` and returning the best boundary (distance,
+    /// path-observables, boundary edge). Stops as `until` says; every run
+    /// from the same source repeats the same steps, so a shorter run
+    /// leaves the same predecessor edges on the nodes it settles.
+    fn dijkstra(
+        &self,
+        src_idx: usize,
+        m: usize,
+        until: Until,
+        scratch: &mut MwpmScratch,
+    ) -> Option<(f64, u64, usize)> {
         scratch.reset_touched();
         let src = scratch.flagged[src_idx];
-        let mut to_boundary: Option<(f64, u64)> = None;
+        let mut to_boundary: Option<(f64, u64, usize)> = None;
         let mut remaining = m;
         scratch.dist[src] = 0.0;
         scratch.touched.push(src);
@@ -249,10 +332,15 @@ impl MwpmDecoder {
                 scratch.pair_info[src_idx * m + idx] = Some((d, scratch.obs[v]));
                 remaining -= 1;
             }
-            // Safe to stop once all targets are settled and the best known
-            // boundary distance cannot be beaten by any future pop (pops are
-            // non-decreasing in distance).
-            if remaining == 0 && to_boundary.is_some_and(|(bd, _)| bd <= d) {
+            // The best known boundary distance is final once no future pop
+            // can beat it (pops are non-decreasing in distance).
+            let boundary_final = to_boundary.is_some_and(|(bd, _, _)| bd <= d);
+            let done = match until {
+                Until::AllTargets => remaining == 0 && boundary_final,
+                Until::Settled(target) => v == target,
+                Until::Boundary => boundary_final,
+            };
+            if done {
                 break;
             }
             for &e in self.graph.incident(v) {
@@ -271,19 +359,20 @@ impl MwpmDecoder {
                             }
                             scratch.dist[u] = nd;
                             scratch.obs[u] = scratch.obs[v] ^ eobs;
+                            scratch.pred[u] = e;
                             scratch.heap.push((Reverse(OrderedF64(nd)), u));
                         }
                     }
                     None => {
                         let nd = d + w;
-                        if to_boundary.is_none_or(|(bd, _)| nd < bd) {
-                            to_boundary = Some((nd, scratch.obs[v] ^ eobs));
+                        if to_boundary.is_none_or(|(bd, _, _)| nd < bd) {
+                            to_boundary = Some((nd, scratch.obs[v] ^ eobs, e));
                         }
                     }
                 }
             }
         }
-        scratch.boundary_info[src_idx] = to_boundary;
+        to_boundary
     }
 }
 
@@ -294,6 +383,14 @@ impl Decoder for MwpmDecoder {
 
     fn decode(&self, syndrome: &[usize]) -> u64 {
         MwpmDecoder::decode(self, syndrome)
+    }
+
+    fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
+        self.decode_into(
+            syndrome,
+            &mut workspace.mwpm,
+            Some(&mut workspace.correction),
+        )
     }
 
     fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {

@@ -184,6 +184,17 @@ impl UnionFindDecoder {
 
     /// Decodes a syndrome reusing `scratch` for every internal allocation.
     pub fn decode_with(&self, syndrome: &[usize], scratch: &mut UfScratch) -> u64 {
+        self.decode_into(syndrome, scratch, None)
+    }
+
+    /// [`decode_with`](Self::decode_with), also appending the peeled
+    /// edge ids to `correction` when one is given.
+    fn decode_into(
+        &self,
+        syndrome: &[usize],
+        scratch: &mut UfScratch,
+        correction: Option<&mut Vec<usize>>,
+    ) -> u64 {
         let n = self.graph.num_nodes();
         dedup_parity_into(syndrome, &mut scratch.sort_buf, &mut scratch.flagged);
         if scratch.flagged.is_empty() {
@@ -252,10 +263,10 @@ impl UnionFindDecoder {
             }
         }
         // Peeling stage: spanning forest over grown edges, leaves first.
-        self.peel(scratch)
+        self.peel(scratch, correction)
     }
 
-    fn peel(&self, scratch: &mut UfScratch) -> u64 {
+    fn peel(&self, scratch: &mut UfScratch, mut correction: Option<&mut Vec<usize>>) -> u64 {
         let n = self.graph.num_nodes();
         for &f in &scratch.flagged {
             scratch.flag[f] = true;
@@ -307,6 +318,12 @@ impl UnionFindDecoder {
         }
         // Peel in reverse BFS order (leaves towards roots).
         let mut obs = 0u64;
+        let mut flip = |e: usize| {
+            obs ^= self.graph.edges()[e].observables;
+            if let Some(correction) = correction.as_deref_mut() {
+                correction.push(e);
+            }
+        };
         for i in (0..scratch.order.len()).rev() {
             let v = scratch.order[i];
             if !scratch.flag[v] {
@@ -314,8 +331,8 @@ impl UnionFindDecoder {
             }
             match scratch.parent_edge[v] {
                 Some(e) => {
+                    flip(e);
                     let edge = &self.graph.edges()[e];
-                    obs ^= edge.observables;
                     let parent = if edge.a == v { edge.b.unwrap() } else { edge.a };
                     scratch.flag[v] = false;
                     scratch.flag[parent] = !scratch.flag[parent];
@@ -325,7 +342,7 @@ impl UnionFindDecoder {
                     // cluster's boundary edge if it has one.
                     let r = find(&mut scratch.parent, v);
                     if let Some(e) = scratch.boundary_edge[r] {
-                        obs ^= self.graph.edges()[e].observables;
+                        flip(e);
                         scratch.flag[v] = false;
                     }
                     // Otherwise the cluster was stuck; leave it (decoder
@@ -345,6 +362,10 @@ impl Decoder for UnionFindDecoder {
 
     fn decode(&self, syndrome: &[usize]) -> u64 {
         UnionFindDecoder::decode(self, syndrome)
+    }
+
+    fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
+        self.decode_into(syndrome, &mut workspace.uf, Some(&mut workspace.correction))
     }
 
     fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {

@@ -21,14 +21,14 @@
 //!    still in the future can park against the future boundary instead of
 //!    forcing a wrong spatial match.
 //!
-//! The trick that makes this work through the *opaque* [`Decoder`] trait
-//! (which returns only an observable-flip mask, never the matching
-//! itself) is observable-bit instrumentation: in each window sub-graph,
-//! committed edges keep their real observable bits, non-committed edges
-//! are zeroed, and every committed edge that crosses the commit cut
-//! additionally sets a private high bit identifying the detector the
-//! residual defect must be carried to. One `decode` call then returns the
-//! committed observable parity *and* the full carry set.
+//! The backend reports the correction it found
+//! ([`Decoder::decode_correction`]): in each window sub-graph, committed
+//! edges keep their real observables and non-committed edges are zeroed,
+//! so the returned mask is the committed observable parity; and every
+//! committed edge that crosses the commit cut records the detector its
+//! residual defect is carried to, so the correction's crossing edges give
+//! the carry set. The number of carries per window is unbounded, so any
+//! code distance streams.
 //!
 //! With the window at least `2·d` rounds (commit `d`, lookahead `d`) the
 //! committed corrections coincide with the full-history batch decode —
@@ -45,7 +45,7 @@
 //!
 //! * **Lazy window plans.** Window sub-graphs and inner decoders are built
 //!   on first use instead of eagerly for every window, and windows whose
-//!   instrumented sub-graphs are structurally identical (the steady state
+//!   sub-graphs are structurally identical (the steady state
 //!   between geometry epochs — almost all of a long stream) *share* one
 //!   inner decoder. A 10⁵-round session compiles a handful of backends
 //!   instead of tens of thousands.
@@ -62,9 +62,7 @@
 //!
 //! Both modes run the identical window assembly and decode sequence, so
 //! eager and sparse decoders agree bit for bit on every stream (see the
-//! `sparse_*` tests below); the eager path additionally surfaces carry-bit
-//! overflow at construction time, while the sparse path surfaces it on
-//! first decode of the offending window.
+//! `sparse_*` tests below).
 //!
 //! # Virtual mode
 //!
@@ -75,11 +73,10 @@
 //! edges on demand. Sessions keep their defect and dirty state in sparse
 //! maps pruned at the commit frontier, so a virtual session's resident
 //! memory is O(in-flight windows + events), independent of the horizon.
-//! Virtual decoders are session-only: the whole-history [`Decoder`] entry
-//! points ([`graph`](Decoder::graph), [`decode`](Decoder::decode),
-//! [`decode_batch`](Decoder::decode_batch)) panic, because the full graph
-//! is never materialised. Window assembly replays the identical edge
-//! sequence the materialised sparse path would visit, so committed
+//! Virtual decoders are session-only:
+//! [`decode_history`](WindowedDecoder::decode_history) panics, because the
+//! full graph is never materialised. Window assembly replays the identical
+//! edge sequence the materialised sparse path would visit, so committed
 //! results stay bit-identical.
 //!
 //! ## Template translation
@@ -182,18 +179,17 @@ impl WindowConfig {
 struct WindowPlan {
     /// Window detectors in global ids; local node `i` = `globals[i]`.
     globals: Vec<u32>,
-    /// Inner decoder over the instrumented window sub-graph.
+    /// Inner decoder over the window sub-graph.
     decoder: Arc<dyn Decoder>,
-    /// Carry instrumentation: `(observable bit, global detector)` — if the
-    /// decode result has the bit set, the detector's defect is flipped
-    /// before the next window.
-    carries: Vec<(u32, u32)>,
+    /// Per window edge: the global detector whose defect is flipped before
+    /// the next window when the correction uses the edge ([`NO_CARRY`]
+    /// for edges that do not cross the commit cut).
+    carries: Vec<u32>,
     /// Template plans only (empty otherwise): in the window `shift`
     /// periods past the template, local node `k` is global detector
     /// `globals[k] + shift · strides[k]`.
     strides: Vec<u32>,
-    /// Template plans only: the stride of each carry target, in
-    /// `carries` order.
+    /// Template plans only: the stride of each edge's carry target.
     carry_strides: Vec<u32>,
 }
 
@@ -207,11 +203,13 @@ impl WindowPlan {
         }
     }
 
-    /// Global id of carry `j`'s target in the window `shift` periods on.
-    fn carry_target(&self, j: usize, shift: u32) -> u32 {
-        match shift {
-            0 => self.carries[j].1,
-            _ => self.carries[j].1 + shift * self.carry_strides[j],
+    /// Global carry target of window edge `e` in the window `shift`
+    /// periods on, if the edge crosses the commit cut.
+    fn carry_target(&self, e: usize, shift: u32) -> Option<u32> {
+        match (self.carries[e], shift) {
+            (NO_CARRY, _) => None,
+            (target, 0) => Some(target),
+            (target, _) => Some(target + shift * self.carry_strides[e]),
         }
     }
 }
@@ -220,7 +218,10 @@ impl std::fmt::Debug for WindowPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WindowPlan")
             .field("globals", &self.globals.len())
-            .field("carries", &self.carries.len())
+            .field(
+                "carries",
+                &self.carries.iter().filter(|&&c| c != NO_CARRY).count(),
+            )
             .field("template", &!self.strides.is_empty())
             .finish_non_exhaustive()
     }
@@ -252,7 +253,7 @@ struct PlanTable {
     /// O(windows).
     resolved: HashMap<usize, Arc<WindowPlan>>,
     /// Distinct inner decoders built so far, most recently used first;
-    /// a candidate window whose instrumented sub-graph equals a canonical
+    /// a candidate window whose sub-graph equals a canonical
     /// decoder's graph reuses it instead of compiling a new backend.
     canon: Vec<Arc<dyn Decoder>>,
     /// Steady-state template plans keyed by canonical start round
@@ -277,9 +278,12 @@ impl PlanTable {
     }
 }
 
-/// One assembled window: detectors in global ids, the instrumented
-/// window sub-graph, and the carry table.
-type Parts = (Vec<u32>, DecodingGraph, Vec<(u32, u32)>);
+/// One assembled window: detectors in global ids, the window sub-graph,
+/// and its per-edge carry targets.
+type Parts = (Vec<u32>, DecodingGraph, Vec<u32>);
+
+/// Carry-table entry of a window edge that does not cross the commit cut.
+const NO_CARRY: u32 = u32::MAX;
 
 /// One window plan laid open for equivalence tests (see
 /// [`WindowedDecoder::window_parts`]).
@@ -288,25 +292,26 @@ type Parts = (Vec<u32>, DecodingGraph, Vec<(u32, u32)>);
 pub struct WindowParts {
     /// Window detectors in global ids, local node order.
     pub globals: Vec<u32>,
-    /// The instrumented window sub-graph.
+    /// The window sub-graph.
     pub graph: DecodingGraph,
-    /// `(observable bit, global carry target)` pairs.
-    pub carries: Vec<(u32, u32)>,
+    /// Global carry target per window edge (`u32::MAX`: none).
+    pub carries: Vec<u32>,
 }
 
 /// A streaming decoder: decodes overlapping round-windows of a decoding
 /// graph whose detectors carry round labels, committing matches in each
 /// window's commit region and carrying boundary defects forward.
 ///
-/// Implements [`Decoder`] itself (over the full-history graph), so any
-/// code consuming a `Box<dyn Decoder>` can be switched to streaming
-/// decoding transparently; [`session`](WindowedDecoder::session) exposes
-/// the round-by-round feed used by `surf_sim`'s streaming experiments.
+/// [`session`](WindowedDecoder::session) exposes the round-by-round feed
+/// used by `surf_sim`'s streaming experiments;
+/// [`decode_history`](WindowedDecoder::decode_history) streams complete
+/// histories in one call.
 ///
 /// # Example
 ///
 /// ```
-/// use surf_matching::{Decoder, DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
+/// use surf_matching::{DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
+/// use surf_pauli::BitBatch;
 ///
 /// // Two detectors in consecutive rounds joined by a measurement edge
 /// // (cheaper than the boundaries, so the matching is unique).
@@ -317,14 +322,16 @@ pub struct WindowParts {
 /// let windowed = WindowedDecoder::new(
 ///     g,
 ///     vec![0, 1],
-///     1,
 ///     WindowConfig::new(1),
 ///     Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
 /// );
 /// // The measurement-error pair is matched across the window cut: the
 /// // first window commits the pair edge and carries the residual defect
 /// // into round 1, where it cancels the sampled one.
-/// assert_eq!(windowed.decode(&[0, 1]), 0);
+/// let mut history = BitBatch::with_lanes(2, 1);
+/// history.set(0, 0, true);
+/// history.set(1, 0, true);
+/// assert_eq!(windowed.decode_history(&history), vec![0]);
 /// ```
 pub struct WindowedDecoder {
     graph: DecodingGraph,
@@ -334,8 +341,6 @@ pub struct WindowedDecoder {
     source: Option<Arc<dyn RoundModelSource>>,
     /// One past the largest round label.
     total_rounds: u32,
-    obs_mask: u64,
-    num_observables: u32,
     config: WindowConfig,
     store: PlanStore,
     /// Window assemblies so far (see [`plan_builds`](Self::plan_builds)).
@@ -349,24 +354,20 @@ pub struct WindowedDecoder {
 
 impl WindowedDecoder {
     /// Builds a windowed decoder over `graph`, whose detector `i` belongs
-    /// to round `rounds_of[i]`, with `num_observables` real observable
-    /// bits (bits above them are reserved for carry instrumentation) and
-    /// an inner backend built per window by `factory`.
+    /// to round `rounds_of[i]`, with an inner backend built per window by
+    /// `factory`. Every observable bit of the graph streams through.
     ///
     /// # Panics
     ///
-    /// Panics if `rounds_of` does not match the graph, if
-    /// `num_observables` is 0 or ≥ 64, or if a window needs more carry
-    /// bits than the `64 - num_observables` available ones (only possible
-    /// for very wide time-cuts; d ≤ 9 surface-code memories fit easily).
+    /// Panics if `rounds_of` does not match the graph or the window config
+    /// is degenerate.
     pub fn new(
         graph: DecodingGraph,
         rounds_of: Vec<u32>,
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, num_observables, config, factory, false)
+        WindowedDecoder::build(graph, rounds_of, config, factory, false)
     }
 
     /// [`new`](WindowedDecoder::new) in sparse mode: window plans are
@@ -374,24 +375,19 @@ impl WindowedDecoder {
     /// one inner decoder, and sessions fast-forward through defect-free
     /// windows without invoking the backend.
     ///
-    /// Decodes bit-identically to the eager construction on every stream;
-    /// the only behavioural difference is that a carry-bit overflow (see
-    /// [`new`](WindowedDecoder::new)) panics on first decode of the
-    /// offending window instead of at construction.
+    /// Decodes bit-identically to the eager construction on every stream.
     pub fn sparse(
         graph: DecodingGraph,
         rounds_of: Vec<u32>,
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, num_observables, config, factory, true)
+        WindowedDecoder::build(graph, rounds_of, config, factory, true)
     }
 
     fn build(
         graph: DecodingGraph,
         rounds_of: Vec<u32>,
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
         sparse: bool,
@@ -400,10 +396,6 @@ impl WindowedDecoder {
             rounds_of.len(),
             graph.num_nodes(),
             "one round label per detector required"
-        );
-        assert!(
-            (1..64).contains(&num_observables),
-            "num_observables {num_observables} outside 1..=63"
         );
         // Re-validate the config: its fields are `pub`, so a struct
         // literal can bypass the constructor asserts. commit = 0 would
@@ -417,14 +409,11 @@ impl WindowedDecoder {
             config.window
         );
         let total_rounds = rounds_of.iter().map(|&r| r + 1).max().unwrap_or(0);
-        let obs_mask = (1u64 << num_observables) - 1;
         let mut decoder = WindowedDecoder {
             graph,
             rounds_of,
             source: None,
             total_rounds,
-            obs_mask,
-            num_observables,
             config,
             store: PlanStore::Eager(Vec::new()),
             plan_builds: AtomicU64::new(0),
@@ -470,7 +459,7 @@ impl WindowedDecoder {
     /// Every epoch's edges and round labels are translated through its
     /// [`GraphEpoch::global_of`] table, so a window straddling the
     /// deformation round decodes against the spliced multi-epoch graph
-    /// and its commit-cut carry bits land on translated (global) detector
+    /// and its commit-cut carries land on translated (global) detector
     /// ids — residual defects flow correctly from pre- into
     /// post-deformation windows.
     ///
@@ -482,12 +471,11 @@ impl WindowedDecoder {
     pub fn from_epochs(
         num_detectors: usize,
         epochs: &[GraphEpoch],
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
         let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::new(graph, rounds_of, num_observables, config, factory)
+        WindowedDecoder::new(graph, rounds_of, config, factory)
     }
 
     /// [`from_epochs`](WindowedDecoder::from_epochs) in sparse mode; see
@@ -495,12 +483,11 @@ impl WindowedDecoder {
     pub fn from_epochs_sparse(
         num_detectors: usize,
         epochs: &[GraphEpoch],
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
         let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::sparse(graph, rounds_of, num_observables, config, factory)
+        WindowedDecoder::sparse(graph, rounds_of, config, factory)
     }
 
     fn splice_epochs(num_detectors: usize, epochs: &[GraphEpoch]) -> (DecodingGraph, Vec<u32>) {
@@ -551,23 +538,18 @@ impl WindowedDecoder {
     /// windows + events) regardless of the horizon.
     ///
     /// Virtual decoders are always sparse (lazy plans, structural backend
-    /// sharing, clean-window fast-forward) and serve *sessions only*: the
-    /// whole-history [`Decoder`] entry points panic.
+    /// sharing, clean-window fast-forward) and serve *sessions only*:
+    /// [`decode_history`](WindowedDecoder::decode_history) panics.
     ///
     /// # Panics
     ///
-    /// Panics if `num_observables` is outside `1..=63` or the window
-    /// config is degenerate, like [`new`](WindowedDecoder::new).
+    /// Panics if the window config is degenerate, like
+    /// [`new`](WindowedDecoder::new).
     pub fn virtual_source(
         source: Arc<dyn RoundModelSource>,
-        num_observables: u32,
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        assert!(
-            (1..64).contains(&num_observables),
-            "num_observables {num_observables} outside 1..=63"
-        );
         assert!(config.window > 0, "window must be at least one round");
         assert!(
             (1..=config.window).contains(&config.commit),
@@ -581,8 +563,6 @@ impl WindowedDecoder {
             rounds_of: Vec::new(),
             source: Some(source),
             total_rounds,
-            obs_mask: (1u64 << num_observables) - 1,
-            num_observables,
             config,
             store: PlanStore::Virtual(Mutex::new(PlanTable::new(factory))),
             plan_builds: AtomicU64::new(0),
@@ -766,8 +746,8 @@ impl WindowedDecoder {
                 && window_graph.edges() == next_graph.edges()
                 && carries
                     .iter()
-                    .map(|c| c.0)
-                    .eq(next_carries.iter().map(|c| c.0)),
+                    .zip(&next_carries)
+                    .all(|(&a, &b)| (a == NO_CARRY) == (b == NO_CARRY)),
             "model source claims window [{s1}, {}) translates window [{s0}, {}), \
              but their graphs differ",
             s1 + window,
@@ -782,7 +762,7 @@ impl WindowedDecoder {
         let carry_strides = carries
             .iter()
             .zip(&next_carries)
-            .map(|(a, b)| stride(a.1, b.1))
+            .map(|(&a, &b)| if a == NO_CARRY { 0 } else { stride(a, b) })
             .collect();
         let mut table = PlanTable::lock(table);
         let table = &mut *table;
@@ -820,7 +800,7 @@ impl WindowedDecoder {
                     .collect(),
                 graph: plan.decoder.graph().clone(),
                 carries: (0..plan.carries.len())
-                    .map(|j| (plan.carries[j].0, plan.carry_target(j, t.reps)))
+                    .map(|e| plan.carry_target(e, t.reps).unwrap_or(NO_CARRY))
                     .collect(),
             }
         });
@@ -959,20 +939,23 @@ impl WindowedDecoder {
         (globals, window_graph, carries)
     }
 
-    /// Builds the instrumented sub-graph (and carry table) of one window
-    /// from a candidate edge set — the shared core of both the eager and
-    /// lazy paths.
+    /// Builds the sub-graph (and per-edge carry table) of one window from
+    /// a candidate edge set — the shared core of both the eager and lazy
+    /// paths.
     ///
     /// Edge placement rules (rounds `ra <= rb` of the endpoints):
     /// * `ra < start` — already committed by an earlier window: skipped;
     /// * `ra >= end` — belongs to a later window: skipped;
     /// * otherwise the edge is *committed* iff `ra < cut`. Committed edges
     ///   keep their real observables; if `rb >= cut` the edge crosses the
-    ///   commit boundary and additionally sets the carry bit of endpoint
-    ///   `b`. Non-committed edges are pure lookahead (observables 0).
+    ///   commit boundary and carries to endpoint `b`. Non-committed edges
+    ///   are pure lookahead (observables 0).
     /// * An endpoint with `rb >= end` is not a window node: the edge
     ///   becomes a boundary edge from `a` (an open time boundary when not
     ///   committed).
+    ///
+    /// Mechanisms merge into one window edge only when they also share the
+    /// carry target, so every window edge has exactly one.
     fn assemble_window(
         &self,
         start: u32,
@@ -981,25 +964,16 @@ impl WindowedDecoder {
         globals: &[u32],
         local_of: &mut dyn FnMut(u32) -> u32,
         edges: &mut dyn Iterator<Item = SourceEdge>,
-    ) -> (DecodingGraph, Vec<(u32, u32)>) {
-        let num_observables = self.num_observables;
+    ) -> (DecodingGraph, Vec<u32>) {
         let mut window_graph = DecodingGraph::new(globals.len());
-        let mut carries: Vec<(u32, u32)> = Vec::new();
-        let carry_bit_of = |target: u32, carries: &mut Vec<(u32, u32)>| -> u64 {
-            let bit = match carries.iter().find(|&&(_, t)| t == target) {
-                Some(&(bit, _)) => bit,
-                None => {
-                    let bit = num_observables + carries.len() as u32;
-                    assert!(
-                        bit < 64,
-                        "window [{start}, {end}) needs more than {} carry bits",
-                        64 - num_observables
-                    );
-                    carries.push((bit, target));
-                    bit
-                }
-            };
-            1u64 << bit
+        let mut carries: Vec<u32> = Vec::new();
+        let mut add = |a: u32, b: Option<u32>, p: f64, obs: u64, carry: u32| {
+            let b = b.map(|b| local_of(b) as usize);
+            let landed = window_graph
+                .add_edge_where(local_of(a) as usize, b, p, obs, |e| carries[e] == carry);
+            if landed == Some(carries.len()) {
+                carries.push(carry);
+            }
         };
         for edge in edges {
             let ra = self.round_of_det(edge.a);
@@ -1009,12 +983,8 @@ impl WindowedDecoder {
                     if !(start..end).contains(&ra) {
                         continue;
                     }
-                    let obs = if ra < cut {
-                        edge.observables & self.obs_mask
-                    } else {
-                        0
-                    };
-                    window_graph.add_edge(local_of(edge.a) as usize, None, edge.probability, obs);
+                    let obs = if ra < cut { edge.observables } else { 0 };
+                    add(edge.a, None, edge.probability, obs, NO_CARRY);
                 }
                 Some(b) => {
                     let rb = self.round_of_det(b);
@@ -1028,24 +998,15 @@ impl WindowedDecoder {
                         continue;
                     }
                     let committed = rlo < cut;
-                    let mut obs = 0u64;
-                    if committed {
-                        obs = edge.observables & self.obs_mask;
-                        if rhi >= cut {
-                            obs |= carry_bit_of(hi, &mut carries);
-                        }
-                    }
-                    if rhi < end {
-                        window_graph.add_edge(
-                            local_of(lo) as usize,
-                            Some(local_of(hi) as usize),
-                            edge.probability,
-                            obs,
-                        );
+                    let obs = if committed { edge.observables } else { 0 };
+                    let carry = if committed && rhi >= cut {
+                        hi
                     } else {
-                        // Partner not yet streamed: open time boundary.
-                        window_graph.add_edge(local_of(lo) as usize, None, edge.probability, obs);
-                    }
+                        NO_CARRY
+                    };
+                    // Partner not yet streamed: open time boundary.
+                    let partner = (rhi < end).then_some(hi);
+                    add(lo, partner, edge.probability, obs, carry);
                 }
             }
         }
@@ -1105,50 +1066,17 @@ impl WindowedDecoder {
             windows_committed as u32 * self.config.commit
         }
     }
-}
 
-impl Decoder for WindowedDecoder {
-    fn graph(&self) -> &DecodingGraph {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders never materialise the whole-history \
-             graph; use a session instead"
-        );
-        &self.graph
-    }
-
-    fn decode(&self, syndrome: &[usize]) -> u64 {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders serve sessions only; whole-history \
-             decode would materialise O(rounds) state"
-        );
-        let mut core = SessionCore::new(self, 1);
-        for &d in syndrome {
-            core.defects.xor(d as u32, 1); // duplicates cancel pairwise
-        }
-        core.mark_dirty_defects(self);
-        core.filled_rounds = self.total_rounds;
-        core.drain_ready(self);
-        core.finish(self)[0]
-    }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        self.decode_batch_with(batch, predictions, &mut DecodeWorkspace::default());
-    }
-
-    /// Whole-history batch decode through the caller's arena: the
-    /// transient per-call session state (`decode_batch` historically
-    /// rebuilt it every time) is cached inside the workspace, so a
-    /// long-lived holder re-decoding many batches reuses one core —
-    /// defect words, dirty bitmap, window scratch, and the backend arena
-    /// all grow to their high-water marks once.
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
+    /// Decodes complete histories: lane `b` of `batch` (one row per
+    /// detector) is shot `b`'s whole syndrome, streamed window by window
+    /// through a fresh session. Returns each lane's committed
+    /// observable-flip mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics for virtual decoders, which never hold the whole-history
+    /// detector set, and if the batch shape does not match the graph.
+    pub fn decode_history(&self, batch: &BitBatch) -> Vec<u64> {
         assert!(
             !self.is_virtual(),
             "virtual windowed decoders serve sessions only; whole-history \
@@ -1159,11 +1087,7 @@ impl Decoder for WindowedDecoder {
             self.graph.num_nodes(),
             "batch shape does not match the decoding graph"
         );
-        let mut core = workspace
-            .windowed
-            .take()
-            .unwrap_or_else(|| Box::new(SessionCore::new(self, batch.lanes())));
-        core.reset(self, batch.lanes());
+        let mut core = SessionCore::new(self, batch.lanes());
         let DefectWords::Dense(words) = &mut core.defects else {
             unreachable!("non-virtual cores keep dense defect words");
         };
@@ -1171,10 +1095,7 @@ impl Decoder for WindowedDecoder {
         core.mark_dirty_defects(self);
         core.filled_rounds = self.total_rounds;
         core.drain_ready(self);
-        debug_assert_eq!(core.next_plan, self.num_windows());
-        predictions.clear();
-        predictions.extend_from_slice(&core.observables);
-        workspace.windowed = Some(core);
+        core.finish(self)
     }
 }
 
@@ -1241,11 +1162,9 @@ impl DirtyRounds {
 /// The per-session state behind both session handles: residual defects,
 /// fill cursor, and committed observables. Every method takes the decoder
 /// explicitly so the state can be owned next to either a borrowed or an
-/// `Arc`-held [`WindowedDecoder`] — or cached inside a
-/// [`DecodeWorkspace`] by the whole-history
-/// [`Decoder::decode_batch_with`] path.
+/// `Arc`-held [`WindowedDecoder`].
 #[derive(Clone, Debug)]
-pub(crate) struct SessionCore {
+struct SessionCore {
     /// Current residual defects, one word per global detector.
     defects: DefectWords,
     lane_mask: u64,
@@ -1263,8 +1182,10 @@ pub(crate) struct SessionCore {
     /// all clear (empty matching, zero flips) without touching the
     /// backend.
     dirty: DirtyRounds,
-    /// Scratch for the inner `decode_batch_with` calls.
-    predictions: Vec<u64>,
+    /// One lane's window syndrome (local node ids).
+    syndrome: Vec<usize>,
+    /// One lane's carry targets, one per crossing correction edge.
+    carried: Vec<u32>,
     /// Reusable window sub-batch (reshaped per window, allocated once).
     window_batch: BitBatch,
     /// The session's decode arena, threaded into every backend call; one
@@ -1306,7 +1227,8 @@ impl SessionCore {
             next_plan: 0,
             observables: vec![0u64; lanes],
             dirty,
-            predictions: Vec::new(),
+            syndrome: Vec::new(),
+            carried: Vec::new(),
             window_batch: BitBatch::with_lanes(0, lanes),
             workspace: DecodeWorkspace::default(),
             templates: Vec::new(),
@@ -1315,68 +1237,9 @@ impl SessionCore {
         }
     }
 
-    /// Returns a (possibly recycled) core to the fresh-session state for
-    /// `decoder` and `lanes`, keeping every backing allocation. The core
-    /// may previously have served a *different* decoder — all
-    /// shape-dependent vectors are resized here.
-    fn reset(&mut self, decoder: &WindowedDecoder, lanes: usize) {
-        assert!(
-            (1..=BitBatch::LANES).contains(&lanes),
-            "lanes {lanes} out of range 1..={}",
-            BitBatch::LANES
-        );
-        match (&mut self.defects, decoder.is_virtual()) {
-            (DefectWords::Dense(words), false) => {
-                words.clear();
-                words.resize(decoder.graph.num_nodes(), 0);
-            }
-            (DefectWords::Sparse(map), true) => map.clear(),
-            (defects, virt) => {
-                *defects = if virt {
-                    DefectWords::Sparse(BTreeMap::new())
-                } else {
-                    DefectWords::Dense(vec![0u64; decoder.graph.num_nodes()])
-                };
-            }
-        }
-        self.lane_mask = BitBatch::mask_for(lanes);
-        self.lanes = lanes;
-        self.filled_rounds = 0;
-        self.next_plan = 0;
-        self.observables.clear();
-        self.observables.resize(lanes, 0);
-        match (&mut self.dirty, decoder.is_virtual()) {
-            (DirtyRounds::Bitmap(bits), false) => {
-                bits.clear();
-                bits.resize((decoder.total_rounds as usize).div_ceil(64), 0);
-            }
-            (DirtyRounds::Set(set), true) => set.clear(),
-            (dirty, virt) => {
-                *dirty = if virt {
-                    DirtyRounds::Set(BTreeSet::new())
-                } else {
-                    DirtyRounds::Bitmap(vec![0u64; (decoder.total_rounds as usize).div_ceil(64)])
-                };
-            }
-        }
-        // Rows are empty after the reshape, so the lane change never
-        // truncates live data.
-        self.window_batch.reset_rows(0);
-        self.window_batch.set_lanes(lanes);
-        // Templates belong to the decoder the core last served.
-        self.templates.clear();
-        self.windows_decoded = 0;
-        self.windows_fast_forwarded = 0;
-        // `predictions` and `workspace` are pure scratch: reused as-is.
-    }
-
-    fn mark_dirty(&mut self, round: u32) {
-        self.dirty.mark(round);
-    }
-
     /// Marks the round of every currently nonzero defect word dirty —
-    /// used by the whole-history [`Decoder`] entry points, which fill
-    /// `defects` directly instead of round by round.
+    /// used by [`WindowedDecoder::decode_history`], which fills `defects`
+    /// directly instead of round by round.
     fn mark_dirty_defects(&mut self, decoder: &WindowedDecoder) {
         let DefectWords::Dense(words) = &self.defects else {
             unreachable!("whole-history decoding is rejected for virtual decoders");
@@ -1413,7 +1276,7 @@ impl SessionCore {
             );
             let masked = word & self.lane_mask;
             if masked != 0 {
-                self.mark_dirty(round);
+                self.dirty.mark(round);
             }
             self.defects.xor(det, masked);
         }
@@ -1514,13 +1377,13 @@ impl SessionCore {
     /// Decodes window `plan`, translated `shift` template periods on (0
     /// for directly assembled plans), against the global per-detector
     /// defect words (lane `b` = shot `b`), XOR-ing each lane's committed
-    /// observables into `observables` and applying carry flips back into
-    /// `defects`.
-    /// `window_batch` is session-owned scratch (reshaped here), reused
-    /// across the whole stream; the backend call goes through
-    /// [`Decoder::decode_batch_with`] with the session's single
-    /// [`DecodeWorkspace`], so every buffer — lane extraction, Dijkstra
-    /// state, blossom tables, peeling forest — persists across windows and
+    /// observables into `observables` and flipping the carry target of
+    /// every crossing edge in the lane's correction back into `defects`.
+    /// `window_batch` and the lane buffers are session-owned scratch,
+    /// reused across the whole stream; the backend call goes through
+    /// [`Decoder::decode_correction`] with the session's single
+    /// [`DecodeWorkspace`], so every buffer — Dijkstra state, blossom
+    /// tables, peeling forest, correction — persists across windows and
     /// epochs and the steady-state decode performs zero heap allocations.
     fn decode_plan(&mut self, decoder: &WindowedDecoder, plan: &WindowPlan, shift: u32) {
         if plan.globals.is_empty() {
@@ -1531,23 +1394,25 @@ impl SessionCore {
             let word = self.defects.get(plan.global(local, shift));
             self.window_batch.set_word(local, word);
         }
-        plan.decoder.decode_batch_with(
-            &self.window_batch,
-            &mut self.predictions,
-            &mut self.workspace,
-        );
-        for (lane, &prediction) in self.predictions.iter().enumerate() {
-            self.observables[lane] ^= prediction & decoder.obs_mask;
-            if prediction & !decoder.obs_mask != 0 {
-                for (j, &(bit, _)) in plan.carries.iter().enumerate() {
-                    if (prediction >> bit) & 1 == 1 {
-                        let target = plan.carry_target(j, shift);
-                        self.defects.xor(target, 1u64 << lane);
-                        // A carry re-dirties its target round, which may
-                        // sit arbitrarily far ahead (open-boundary commits
-                        // carry into not-yet-streamed rounds).
-                        self.dirty.mark(decoder.round_of_det(target));
-                    }
+        for lane in 0..self.lanes {
+            self.window_batch.lane_ones_into(lane, &mut self.syndrome);
+            self.workspace.correction.clear();
+            self.observables[lane] ^= plan
+                .decoder
+                .decode_correction(&self.syndrome, &mut self.workspace);
+            self.carried.clear();
+            let crossing = self.workspace.correction.iter();
+            self.carried
+                .extend(crossing.filter_map(|&e| plan.carry_target(e, shift)));
+            // Edges listed twice cancel, so only an odd count flips the
+            // target — and re-dirties its round, which may sit arbitrarily
+            // far ahead (open-boundary commits carry into not-yet-streamed
+            // rounds).
+            self.carried.sort_unstable();
+            for run in self.carried.chunk_by(|a, b| a == b) {
+                if run.len() % 2 == 1 {
+                    self.defects.xor(run[0], 1u64 << lane);
+                    self.dirty.mark(decoder.round_of_det(run[0]));
                 }
             }
         }
@@ -1719,6 +1584,15 @@ mod tests {
         Box::new(|g| Box::new(MwpmDecoder::new(g)))
     }
 
+    /// Whole-history decode of one syndrome (duplicates cancel pairwise).
+    fn decode(d: &WindowedDecoder, syndrome: &[usize]) -> u64 {
+        let mut history = BitBatch::with_lanes(d.rounds_of().len(), 1);
+        for &det in syndrome {
+            history.xor_word(det, 1);
+        }
+        d.decode_history(&history)[0]
+    }
+
     /// A time strip: one detector per round, measurement-error edges
     /// between consecutive rounds, time boundaries at both ends, the
     /// observable on the initial boundary edge. Interior edges are
@@ -1735,12 +1609,12 @@ mod tests {
 
     fn windowed(rounds: usize, config: WindowConfig) -> WindowedDecoder {
         let (g, r) = time_strip(rounds);
-        WindowedDecoder::new(g, r, 1, config, mwpm_factory())
+        WindowedDecoder::new(g, r, config, mwpm_factory())
     }
 
     fn windowed_sparse(rounds: usize, config: WindowConfig) -> WindowedDecoder {
         let (g, r) = time_strip(rounds);
-        WindowedDecoder::sparse(g, r, 1, config, mwpm_factory())
+        WindowedDecoder::sparse(g, r, config, mwpm_factory())
     }
 
     #[test]
@@ -1750,7 +1624,7 @@ mod tests {
         assert_eq!(d.total_rounds(), 6);
         let full = MwpmDecoder::new(time_strip(6).0);
         for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 2, 4]] {
-            assert_eq!(d.decode(&s), full.decode(&s), "syndrome {s:?}");
+            assert_eq!(decode(&d, &s), full.decode(&s), "syndrome {s:?}");
         }
     }
 
@@ -1810,7 +1684,7 @@ mod tests {
         for w in 1..=6u32 {
             let d = windowed(6, WindowConfig::new(w));
             for t in 0..5 {
-                assert_eq!(d.decode(&[t, t + 1]), 0, "pair at {t}, window {w}");
+                assert_eq!(decode(&d, &[t, t + 1]), 0, "pair at {t}, window {w}");
             }
         }
         // Lone boundary defects need at least one round of lookahead to
@@ -1818,8 +1692,8 @@ mod tests {
         // boundary"; from w = 2 on they match the full decode.
         for w in 2..=6u32 {
             let d = windowed(6, WindowConfig::new(w));
-            assert_eq!(d.decode(&[0]), 1, "window {w}");
-            assert_eq!(d.decode(&[5]), 0, "window {w}");
+            assert_eq!(decode(&d, &[0]), 1, "window {w}");
+            assert_eq!(decode(&d, &[5]), 0, "window {w}");
         }
     }
 
@@ -1831,15 +1705,15 @@ mod tests {
         // explained) that differs from the full decode's left-boundary
         // match. This pins the greedy semantics.
         let d = windowed(6, WindowConfig::new(1));
-        assert_eq!(d.decode(&[0]), 0);
-        assert_eq!(d.decode(&[5]), 0);
+        assert_eq!(decode(&d, &[0]), 0);
+        assert_eq!(decode(&d, &[5]), 0);
     }
 
     #[test]
     fn duplicates_cancel_pairwise() {
         let d = windowed(5, WindowConfig::new(2));
-        assert_eq!(d.decode(&[3, 3]), 0);
-        assert_eq!(d.decode(&[0, 2, 0]), d.decode(&[2]));
+        assert_eq!(decode(&d, &[3, 3]), 0);
+        assert_eq!(decode(&d, &[0, 2, 0]), decode(&d, &[2]));
     }
 
     #[test]
@@ -1852,10 +1726,9 @@ mod tests {
                 batch.set(det, lane, true);
             }
         }
-        let mut predictions = Vec::new();
-        d.decode_batch(&batch, &mut predictions);
+        let predictions = d.decode_history(&batch);
         for (lane, s) in syndromes.iter().enumerate() {
-            assert_eq!(predictions[lane], d.decode(s), "lane {lane}: {s:?}");
+            assert_eq!(predictions[lane], decode(&d, s), "lane {lane}: {s:?}");
         }
     }
 
@@ -1934,22 +1807,16 @@ mod tests {
             },
         ];
         for window in [1u32, 2, 3, 6] {
-            let spliced = WindowedDecoder::from_epochs(
-                6,
-                &epochs,
-                1,
-                WindowConfig::new(window),
-                mwpm_factory(),
-            );
+            let spliced =
+                WindowedDecoder::from_epochs(6, &epochs, WindowConfig::new(window), mwpm_factory());
             let mono = WindowedDecoder::new(
                 full.clone(),
                 rounds.clone(),
-                1,
                 WindowConfig::new(window),
                 mwpm_factory(),
             );
             for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 4]] {
-                assert_eq!(spliced.decode(&s), mono.decode(&s), "w={window} {s:?}");
+                assert_eq!(decode(&spliced, &s), decode(&mono, &s), "w={window} {s:?}");
             }
         }
     }
@@ -1979,15 +1846,10 @@ mod tests {
             },
         ];
         for window in 1..=4u32 {
-            let d = WindowedDecoder::from_epochs(
-                4,
-                &epochs,
-                1,
-                WindowConfig::new(window),
-                mwpm_factory(),
-            );
-            assert_eq!(d.decode(&[1, 2]), 0, "boundary pair, window {window}");
-            assert_eq!(d.decode(&[2, 3]), 0, "late pair, window {window}");
+            let d =
+                WindowedDecoder::from_epochs(4, &epochs, WindowConfig::new(window), mwpm_factory());
+            assert_eq!(decode(&d, &[1, 2]), 0, "boundary pair, window {window}");
+            assert_eq!(decode(&d, &[2, 3]), 0, "late pair, window {window}");
         }
     }
 
@@ -2008,7 +1870,7 @@ mod tests {
                 global_of: vec![0],
             },
         ];
-        WindowedDecoder::from_epochs(1, &epochs, 1, WindowConfig::new(1), mwpm_factory());
+        WindowedDecoder::from_epochs(1, &epochs, WindowConfig::new(1), mwpm_factory());
     }
 
     #[test]
@@ -2053,7 +1915,7 @@ mod tests {
         let expect = borrowed.finish();
         let got = std::thread::spawn(move || owned.finish()).join().unwrap();
         assert_eq!(got, expect);
-        assert_eq!(got, vec![0, decoder.decode(&[0])]);
+        assert_eq!(got, vec![0, decode(&decoder, &[0])]);
     }
 
     #[test]
@@ -2079,7 +1941,6 @@ mod tests {
         WindowedDecoder::new(
             g,
             r,
-            1,
             WindowConfig {
                 window: 2,
                 commit: 0,
@@ -2091,7 +1952,7 @@ mod tests {
     #[test]
     fn sparse_decodes_bit_identically_to_eager() {
         // The lazy window-plan path must reproduce the eager decoder's
-        // node order, edge order, and instrumentation exactly — decode
+        // node order, edge order, and carry tables exactly — decode
         // results agree bit for bit across window shapes and syndromes.
         for rounds in [5usize, 8, 12] {
             for window in 1..=6u32 {
@@ -2108,8 +1969,8 @@ mod tests {
                     vec![2, 3, last - 1],
                 ] {
                     assert_eq!(
-                        sparse.decode(&s),
-                        eager.decode(&s),
+                        decode(&sparse, &s),
+                        decode(&eager, &s),
                         "rounds={rounds} w={window} {s:?}"
                     );
                 }
@@ -2128,7 +1989,7 @@ mod tests {
         assert_eq!(d.num_windows(), 14);
         assert_eq!(d.compiled_backends(), 0, "plans are lazy");
         // Touch every window via a full-history decode.
-        assert_eq!(d.decode(&[7, 8]), 0);
+        assert_eq!(decode(&d, &[7, 8]), 0);
         assert!(
             d.compiled_backends() <= 4,
             "expected ≤ 4 distinct window graphs, got {}",
@@ -2174,7 +2035,7 @@ mod tests {
         let sparse = windowed_sparse(rounds, WindowConfig::new(4));
         for pair_at in [0u32, 13, 21, 38] {
             let s = vec![pair_at as usize, pair_at as usize + 1];
-            assert_eq!(sparse.decode(&s), eager.decode(&s), "pair at {pair_at}");
+            assert_eq!(decode(&sparse, &s), decode(&eager, &s), "pair at {pair_at}");
         }
         // Only the windows near the last touched rounds compiled a plan.
         assert!(sparse.compiled_backends() <= 4);

@@ -1,9 +1,11 @@
 //! Parity between the scalar `decode` path and the scratch-reusing
-//! `decode_batch` path, for both decoder backends, on random small graphs.
+//! `decode_batch` path, for both decoder backends, on random small graphs
+//! — plus the contract of the correction each backend reports.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use surf_matching::{Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
+use surf_matching::{DecodeWorkspace, Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
 use surf_pauli::BitBatch;
 
 /// A random connected decoding graph: a weighted strip plus random chords,
@@ -127,4 +129,50 @@ fn trait_object_dispatch_agrees_with_concrete_calls() {
         assert_eq!(concrete.decode(&s), boxed.decode(&s));
     }
     assert_eq!(boxed.graph().num_nodes(), 10);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both backends report a correction that matches their answer: the
+    /// listed edges' observables XOR to the returned mask (which is the
+    /// `decode` mask), and their endpoints flip exactly the syndrome's
+    /// odd-count detectors. The random graphs are connected and touch the
+    /// boundary, so no union-find cluster can get stuck.
+    #[test]
+    fn reported_correction_explains_mask_and_syndrome(
+        seed in any::<u64>(),
+        n in 2usize..24,
+        raw in proptest::collection::vec(0usize..24, 0..16),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_graph(&mut rng, n);
+        let syndrome: Vec<usize> = raw.into_iter().filter(|&d| d < n).collect();
+        let mut expected = vec![false; n];
+        for &d in &syndrome {
+            expected[d] ^= true;
+        }
+        let decoders: [Box<dyn Decoder>; 2] = [
+            Box::new(MwpmDecoder::new(g.clone())),
+            Box::new(UnionFindDecoder::new(g.clone())),
+        ];
+        let mut workspace = DecodeWorkspace::default();
+        for decoder in &decoders {
+            workspace.correction.clear();
+            let mask = decoder.decode_correction(&syndrome, &mut workspace);
+            prop_assert_eq!(mask, decoder.decode(&syndrome));
+            let mut observables = 0u64;
+            let mut flipped = vec![false; n];
+            for &e in &workspace.correction {
+                let edge = g.edges()[e];
+                observables ^= edge.observables;
+                flipped[edge.a] ^= true;
+                if let Some(b) = edge.b {
+                    flipped[b] ^= true;
+                }
+            }
+            prop_assert_eq!(observables, mask, "correction {:?}", &workspace.correction);
+            prop_assert_eq!(&flipped, &expected, "correction {:?}", &workspace.correction);
+        }
+    }
 }

@@ -2,11 +2,11 @@
 //!
 //! Three layers of guarantees, from structural to statistical:
 //!
-//! 1. **Self-parity** — `WindowedDecoder::decode_batch` must agree with
-//!    its own scalar `decode` on every lane, for any window/commit split
-//!    including the degenerate `w = 1` and `w = rounds`, any lane count,
-//!    and both inner backends (the windowed decoder is a [`Decoder`] like
-//!    any other and must honour the trait's batch/scalar contract).
+//! 1. **Self-parity** — `WindowedDecoder::decode_history` over a 64-lane
+//!    batch must agree with single-lane decodes of each lane, for any
+//!    window/commit split including the degenerate `w = 1` and
+//!    `w = rounds`, any lane count, and both inner backends (lanes never
+//!    leak into each other through the shared session state).
 //! 2. **Degenerate-window equivalence** — with `w = rounds` there is a
 //!    single window whose sub-graph *is* the full graph, so the streamed
 //!    result must be bit-identical to the inner decoder's full-batch
@@ -80,6 +80,15 @@ fn layered_graph(rng: &mut StdRng, rounds: usize, chains: usize) -> (DecodingGra
     layered_graph_with(rng, rounds, chains, 0.01, 0.2)
 }
 
+/// Whole-history decode of one syndrome as a single-lane batch.
+fn decode_one(windowed: &WindowedDecoder, syndrome: &[usize]) -> u64 {
+    let mut history = BitBatch::with_lanes(windowed.rounds_of().len(), 1);
+    for &d in syndrome {
+        history.xor_word(d, 1);
+    }
+    windowed.decode_history(&history)[0]
+}
+
 /// Random sparse syndromes, one per lane.
 fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> (BitBatch, Vec<Vec<usize>>) {
     let mut batch = BitBatch::with_lanes(n, lanes);
@@ -117,19 +126,17 @@ proptest! {
         let windowed = WindowedDecoder::new(
             g,
             rounds_of,
-            1,
             WindowConfig::new(window).with_commit(commit),
             backend.factory(),
         );
         let lanes = rng.gen_range(1..65);
         let (batch, per_lane) = random_batch(&mut rng, rounds * chains, lanes);
-        let mut predictions = Vec::new();
-        windowed.decode_batch(&batch, &mut predictions);
+        let predictions = windowed.decode_history(&batch);
         prop_assert_eq!(predictions.len(), lanes);
         for (lane, syndrome) in per_lane.iter().enumerate() {
             prop_assert_eq!(
                 predictions[lane],
-                windowed.decode(syndrome),
+                decode_one(&windowed, syndrome),
                 "lane {} syndrome {:?} (w {} commit {} {:?})",
                 lane, syndrome, window, commit, backend
             );
@@ -149,13 +156,12 @@ proptest! {
         let (g, rounds_of) = layered_graph(&mut rng, rounds, chains);
         let inner = backend.build(g.clone());
         let windowed =
-            WindowedDecoder::new(g, rounds_of, 1, WindowConfig::new(rounds as u32), backend.factory());
+            WindowedDecoder::new(g, rounds_of, WindowConfig::new(rounds as u32), backend.factory());
         prop_assert_eq!(windowed.num_windows(), 1);
         let lanes = rng.gen_range(1..65);
         let (batch, _) = random_batch(&mut rng, rounds * chains, lanes);
-        let mut streamed = Vec::new();
+        let streamed = windowed.decode_history(&batch);
         let mut full = Vec::new();
-        windowed.decode_batch(&batch, &mut streamed);
         inner.decode_batch(&batch, &mut full);
         prop_assert_eq!(streamed, full);
     }
@@ -177,7 +183,6 @@ proptest! {
         let windowed = WindowedDecoder::new(
             g.clone(),
             rounds_of,
-            1,
             WindowConfig::new(6).with_commit(2),
             backend.factory(),
         );
@@ -188,16 +193,14 @@ proptest! {
                 batch.set(d, lane, true);
             }
         }
-        let mut streamed = Vec::new();
+        let streamed = windowed.decode_history(&batch);
         let mut full = Vec::new();
-        windowed.decode_batch(&batch, &mut streamed);
         inner.decode_batch(&batch, &mut full);
         prop_assert_eq!(streamed, full, "{:?}", backend);
     }
 }
 
-/// A second observable bit must stream through untouched by the carry
-/// instrumentation (carries start above `num_observables`).
+/// A second observable bit must stream through the windows untouched.
 #[test]
 fn multiple_observable_bits_survive_windowing() {
     // Two chains; observable bit 0 on the left boundary, bit 1 on the
@@ -219,7 +222,6 @@ fn multiple_observable_bits_survive_windowing() {
     let windowed = WindowedDecoder::new(
         g.clone(),
         rounds_of,
-        2,
         WindowConfig::new(6).with_commit(2),
         Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
     );
@@ -231,20 +233,20 @@ fn multiple_observable_bits_survive_windowing() {
             batch.set(d, lane, true);
         }
     }
-    let (mut streamed, mut full) = (Vec::new(), Vec::new());
-    windowed.decode_batch(&batch, &mut streamed);
+    let streamed = windowed.decode_history(&batch);
+    let mut full = Vec::new();
     inner.decode_batch(&batch, &mut full);
     assert_eq!(streamed, full);
     // Adversarial syndromes: the streamed result may differ from the full
-    // decode, but carry bits must never leak past the observable bits.
+    // decode, but only ever flips the graph's two observable bits.
     for trial in 0..200 {
         let n = rng.gen_range(0..6);
         let syndrome: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rounds * 2)).collect();
-        let prediction = windowed.decode(&syndrome);
+        let prediction = decode_one(&windowed, &syndrome);
         assert_eq!(
             prediction & !0b11,
             0,
-            "trial {trial}: carry leak {syndrome:?}"
+            "trial {trial}: stray observable bits for {syndrome:?}"
         );
     }
 }

@@ -98,13 +98,7 @@ fn push_pattern(session: &mut WindowedSession<'_>, t: u32) {
 
 fn assert_steady_state_is_allocation_free(factory: DecoderFactory, label: &str) {
     let (g, rounds_of) = strip(ROUNDS as usize, CHAINS);
-    let decoder = WindowedDecoder::new(
-        g,
-        rounds_of,
-        1,
-        WindowConfig::new(8).with_commit(4),
-        factory,
-    );
+    let decoder = WindowedDecoder::new(g, rounds_of, WindowConfig::new(8).with_commit(4), factory);
     let mut session = decoder.session(2);
     // Warm-up: every arena (lane buffer, backend scratch, blossom tables,
     // window sub-batch) grows to its high-water mark. The pattern period

@@ -298,3 +298,47 @@ fn daemon_survives_hostile_requests() {
     client.shutdown_daemon().expect("shutdown");
     daemon.join().expect("daemon thread");
 }
+
+/// A distance-13 sparse session — hundreds of carry targets per commit
+/// cut at window `2·d` — on a one-worker daemon: the open succeeds, the
+/// served corrections equal the directly-driven session, and the only
+/// worker lives on to serve the next session.
+#[test]
+fn one_worker_daemon_serves_distance_13_and_the_next_session() {
+    let (path, daemon) = start_daemon("distance13", 1);
+    let mut spec = SessionSpec::standard(13, 27);
+    spec.window = 26;
+    spec.commit = 13;
+    spec.sparse = 1;
+    let reference = reference_for(&spec, 8, 1313);
+
+    let mut client = ServiceClient::connect(&path).expect("connect");
+    let opened = client.open_session(1, 8, spec).expect("d = 13 open");
+    assert_eq!(opened.total_rounds as usize, reference.slices.len());
+    client
+        .push_rounds(1, reference.slices.clone())
+        .expect("push");
+    let (round, committed, windows, flips) = corrections_for(&mut client, 1);
+    let direct = reference.outputs[reference.outputs.len() - 1];
+    assert_eq!(round, direct.round);
+    assert_eq!(committed, direct.committed_through);
+    assert_eq!(windows, direct.windows_committed);
+    assert_eq!(flips, direct.observable_flips);
+    let (complete, served) = client.close_session(1).expect("close d = 13");
+    assert!(complete);
+    assert_eq!(served, reference.final_flips, "d = 13 served ≠ direct");
+
+    let spec = SessionSpec::standard(3, 5);
+    let reference = reference_for(&spec, 16, 9);
+    client.open_session(2, 16, spec).expect("open after d = 13");
+    client
+        .push_rounds(2, reference.slices.clone())
+        .expect("push");
+    corrections_for(&mut client, 2);
+    let (complete, served) = client.close_session(2).expect("close");
+    assert!(complete);
+    assert_eq!(served, reference.final_flips);
+
+    client.shutdown_daemon().expect("shutdown");
+    daemon.join().expect("daemon thread");
+}

@@ -436,13 +436,13 @@ pub(crate) fn push_correlated_channel(
 pub(crate) fn graph_from_channels(num_detectors: usize, channels: &[Channel]) -> DecodingGraph {
     let mut graph = DecodingGraph::new(num_detectors);
     for ch in channels {
-        let obs_mask = ch.observable as u64;
+        let observables = ch.observable as u64;
         match ch.detectors.as_slice() {
             [] => {}
-            [a] => graph.add_edge(*a, None, ch.p_prior, obs_mask),
-            [a, b] => graph.add_edge(*a, Some(*b), ch.p_prior, obs_mask),
+            [a] => graph.add_edge(*a, None, ch.p_prior, observables),
+            [a, b] => graph.add_edge(*a, Some(*b), ch.p_prior, observables),
             more => {
-                graph.add_edge(more[0], Some(more[1]), ch.p_prior, obs_mask);
+                graph.add_edge(more[0], Some(more[1]), ch.p_prior, observables);
                 for &d in &more[2..] {
                     graph.add_edge(d, None, ch.p_prior, 0);
                 }

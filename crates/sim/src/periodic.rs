@@ -1156,13 +1156,13 @@ impl RoundModelSource for PeriodicModel {
         for &(_, j, i) in &entries {
             dets.clear();
             let (_, obs, _, p_prior) = self.resolve(i, j, &mut dets);
-            let obs_mask = obs as u64;
+            let observables = obs as u64;
             match dets.len() {
                 0 => {}
-                1 => add(out, dets[0], None, p_prior, obs_mask),
-                2 => add(out, dets[0], Some(dets[1]), p_prior, obs_mask),
+                1 => add(out, dets[0], None, p_prior, observables),
+                2 => add(out, dets[0], Some(dets[1]), p_prior, observables),
                 _ => {
-                    add(out, dets[0], Some(dets[1]), p_prior, obs_mask);
+                    add(out, dets[0], Some(dets[1]), p_prior, observables);
                     for &d in &dets[2..] {
                         add(out, d, None, p_prior, 0);
                     }

@@ -309,7 +309,6 @@ impl SessionShared {
                 let pm = Arc::new(pm);
                 let decoder = Arc::new(WindowedDecoder::virtual_source(
                     Arc::clone(&pm) as Arc<dyn RoundModelSource>,
-                    1,
                     config.window,
                     config.decoder.factory(),
                 ));
@@ -340,7 +339,6 @@ impl SessionShared {
         let decoder = Arc::new(build(
             tm.model.num_detectors,
             &tm.graph_epochs(),
-            1,
             config.window,
             config.decoder.factory(),
         ));

@@ -114,7 +114,6 @@ fn translated_plans_equal_direct_assembly_at_every_window() {
         for (window, commit) in [(6u32, 3u32), (6, 2), (4, 1), (7, 4)] {
             let decoder = WindowedDecoder::virtual_source(
                 Arc::clone(&model),
-                1,
                 WindowConfig::new(window).with_commit(commit),
                 DecoderKind::Mwpm.factory(),
             );

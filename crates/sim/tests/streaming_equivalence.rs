@@ -12,7 +12,10 @@
 //! * both runners are *thread-count independent*: batches draw their RNG
 //!   from a SplitMix64 stream indexed by batch number, so 1 worker and 8
 //!   workers produce identical counts (the regression test the PR 2
-//!   seeding fix never had).
+//!   seeding fix never had);
+//! * the guarantee holds at the distances deformation targets (d = 13,
+//!   17, 21), where a commit cut has hundreds of carry targets, and for
+//!   a virtual session over the periodic model at d = 13.
 //!
 //! A note on ties: the window construction preserves the relative node
 //! and edge order of the full graph, which keeps MWPM's tie resolution
@@ -25,15 +28,18 @@
 //! suites below therefore run at the paper's noise scale, where the
 //! fixed seeds are verified tie-free.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use surf_defects::{DefectEvent, DefectMap};
+use surf_defects::{DefectEvent, DefectMap, DefectSchedule};
+use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Coord, Patch};
-use surf_matching::{Decoder, WindowConfig, WindowedDecoder};
+use surf_matching::{Decoder, RoundModelSource, WindowConfig, WindowedDecoder};
 use surf_sim::{
-    BitBatch, DecoderKind, DecoderPrior, DetectorModel, MemoryExperiment, NoiseParams, QubitNoise,
-    StreamConfig,
+    BitBatch, DecoderKind, DecoderPrior, DetectorModel, MemoryExperiment, NoiseParams,
+    PeriodicModel, QubitNoise, StreamConfig, TimelineModel,
 };
 
 const D: usize = 3;
@@ -61,30 +67,30 @@ fn defect_model(p: f64, round: u32, rate: f64) -> DetectorModel {
 }
 
 /// Asserts that the windowed decoder commits, per lane, exactly the
-/// full-batch prediction over `batches` sampled 64-lane batches.
+/// full-batch prediction over `batches` sampled batches of `lanes` shots.
 fn assert_bit_identical(
     model: &DetectorModel,
     kind: DecoderKind,
     config: WindowConfig,
     seed: u64,
     batches: usize,
+    lanes: usize,
 ) {
     let full = kind.build(model.graph.clone());
     let windowed = WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
-        1,
         config,
         kind.factory(),
     );
     let sampler = model.batch_sampler();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = BitBatch::zeros(model.num_detectors);
-    let (mut streamed, mut reference) = (Vec::new(), Vec::new());
+    let mut batch = BitBatch::with_lanes(model.num_detectors, lanes);
+    let mut reference = Vec::new();
     for index in 0..batches {
         sampler.sample_into(&mut rng, &mut batch);
         full.decode_batch(&batch, &mut reference);
-        windowed.decode_batch(&batch, &mut streamed);
+        let streamed = windowed.decode_history(&batch);
         assert_eq!(
             streamed, reference,
             "batch {index} diverged ({kind:?}, window {}, commit {})",
@@ -97,15 +103,29 @@ fn assert_bit_identical(
 fn window_2d_matches_full_decode_mwpm() {
     // 2·d = 6 rounds of window over a 9-slot history (8 rounds + readout).
     let config = WindowConfig::new(2 * D as u32);
-    assert_bit_identical(&clean_model(1e-3), DecoderKind::Mwpm, config, 11, 24);
-    assert_bit_identical(&clean_model(3e-3), DecoderKind::Mwpm, config, 12, 24);
+    assert_bit_identical(&clean_model(1e-3), DecoderKind::Mwpm, config, 11, 24, 64);
+    assert_bit_identical(&clean_model(3e-3), DecoderKind::Mwpm, config, 12, 24, 64);
 }
 
 #[test]
 fn window_2d_matches_full_decode_union_find() {
     let config = WindowConfig::new(2 * D as u32);
-    assert_bit_identical(&clean_model(1e-3), DecoderKind::UnionFind, config, 13, 24);
-    assert_bit_identical(&clean_model(2e-3), DecoderKind::UnionFind, config, 14, 24);
+    assert_bit_identical(
+        &clean_model(1e-3),
+        DecoderKind::UnionFind,
+        config,
+        13,
+        24,
+        64,
+    );
+    assert_bit_identical(
+        &clean_model(2e-3),
+        DecoderKind::UnionFind,
+        config,
+        14,
+        24,
+        64,
+    );
 }
 
 #[test]
@@ -115,8 +135,102 @@ fn window_2d_matches_full_decode_with_mid_stream_defect() {
     // containing it must still commit the full decode's answer.
     let config = WindowConfig::new(2 * D as u32);
     let model = defect_model(1e-3, 4, 0.2);
-    assert_bit_identical(&model, DecoderKind::Mwpm, config, 15, 24);
-    assert_bit_identical(&model, DecoderKind::UnionFind, config, 16, 24);
+    assert_bit_identical(&model, DecoderKind::Mwpm, config, 15, 24, 64);
+    assert_bit_identical(&model, DecoderKind::UnionFind, config, 16, 24, 64);
+}
+
+/// The clean rotated distance-`d` memory over `2·d + 1` rounds at
+/// `p = 1e-3`.
+fn large_model(d: usize) -> DetectorModel {
+    let noise = QubitNoise::new(NoiseParams::uniform(1e-3), DefectMap::new());
+    let rounds = 2 * d as u32 + 1;
+    DetectorModel::build(
+        &Patch::rotated(d),
+        Basis::Z,
+        rounds,
+        &noise,
+        DecoderPrior::Informed,
+    )
+}
+
+/// At window `2·d` a distance-`d` commit cut has about `(d² − 1) / 2`
+/// carry targets — far more than 63 from d = 13 on. Both backends must
+/// still commit the full decode, lane for lane; eight lanes keep the
+/// debug-mode run short.
+fn assert_large_distance_bit_identical(d: usize) {
+    let model = large_model(d);
+    let config = WindowConfig::new(2 * d as u32);
+    for (kind, seed) in [(DecoderKind::Mwpm, 1300), (DecoderKind::UnionFind, 1700)] {
+        assert_bit_identical(&model, kind, config, seed + d as u64, 1, 8);
+    }
+}
+
+#[test]
+fn window_2d_matches_full_decode_at_d13() {
+    assert_large_distance_bit_identical(13);
+}
+
+#[test]
+fn window_2d_matches_full_decode_at_d17() {
+    assert_large_distance_bit_identical(17);
+}
+
+#[test]
+fn window_2d_matches_full_decode_at_d21() {
+    assert_large_distance_bit_identical(21);
+}
+
+/// A virtual session at d = 13 — windows assembled from the periodic
+/// model, steady-state ones served by template translation, clean ones
+/// fast-forwarded — fed round by round commits the whole-history decode
+/// of the same backend over the equivalent monolithic model.
+#[test]
+fn virtual_session_at_d13_matches_full_decode() {
+    let d = 13usize;
+    let rounds = 80;
+    let timeline = PatchTimeline::fixed(Patch::rotated(d), DefectMap::new());
+    let (noise, schedule) = (NoiseParams::uniform(1e-3), DefectSchedule::new());
+    let prior = DecoderPrior::Informed;
+    let periodic = PeriodicModel::build(&timeline, Basis::Z, rounds, noise, &schedule, prior)
+        .expect("a clean horizon compresses");
+    let source = Arc::new(periodic);
+    let model =
+        TimelineModel::build_scheduled(&timeline, Basis::Z, rounds, noise, &schedule, prior).model;
+    let lanes = 8;
+    let mut batch = BitBatch::with_lanes(model.num_detectors, lanes);
+    let mut rng = StdRng::seed_from_u64(2113);
+    model.batch_sampler().sample_into(&mut rng, &mut batch);
+    for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
+        let mut reference = Vec::new();
+        kind.build(model.graph.clone())
+            .decode_batch(&batch, &mut reference);
+        let decoder = WindowedDecoder::virtual_source(
+            Arc::clone(&source) as Arc<dyn RoundModelSource>,
+            WindowConfig::new(2 * d as u32),
+            kind.factory(),
+        );
+        assert!(decoder.is_virtual());
+        let mut session = decoder.session(lanes);
+        let mut detectors = Vec::new();
+        for round in 0..decoder.total_rounds() {
+            detectors.clear();
+            source.detectors_in(round..round + 1, &mut detectors);
+            let words: Vec<u64> = detectors
+                .iter()
+                .map(|&det| batch.word(det as usize))
+                .collect();
+            session.push_round(round, &detectors, &words);
+        }
+        assert!(
+            session.windows_decoded() > 1,
+            "{kind:?}: windows must decode"
+        );
+        assert_eq!(
+            session.finish(),
+            reference,
+            "{kind:?}: virtual session diverged"
+        );
+    }
 }
 
 proptest! {
@@ -138,9 +252,9 @@ proptest! {
     ) {
         let window = 2 * D as u32 + lookahead_extra;
         let config = WindowConfig::new(window);
-        assert_bit_identical(&clean_model(1e-3), kind, config, seed, 4);
+        assert_bit_identical(&clean_model(1e-3), kind, config, seed, 4, 64);
         let model = defect_model(1e-3, defect_round, 0.01);
-        assert_bit_identical(&model, kind, config, seed ^ 0xD1CE, 4);
+        assert_bit_identical(&model, kind, config, seed ^ 0xD1CE, 4, 64);
     }
 }
 
