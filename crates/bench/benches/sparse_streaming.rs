@@ -1,17 +1,16 @@
-//! Criterion micro-benchmarks for sparse event-driven streaming: the
+//! Criterion micro-benchmarks for event-driven streaming: the
 //! rounds-per-second of a long d=5 stream through a freshly built
-//! windowed decoder, dense (eager per-window backends, every window
-//! decoded) vs sparse (lazy structurally-shared plans, clean windows
-//! fast-forwarded), plus the worst-case per-window commit latency in
-//! sparse mode.
+//! windowed decoder, fed densely (every round pushed) vs by events (only
+//! the rounds that fired, silent gaps bridged by `advance_silent`), plus
+//! the worst-case per-window commit latency of the dense feed.
 //!
-//! The dense column pays what the pre-sparse pipeline paid on a fresh
-//! horizon: one backend build per window up front, one backend decode
-//! per window while streaming. The sparse column builds a handful of
-//! structurally distinct backends on demand and, at low lane counts,
-//! skips the mostly-clean windows outright — the ≥10× rounds/sec gap
-//! that makes 10⁵-round availability sweeps tractable.
+//! Both feeds run the same decoder: plans resolve at construction with
+//! one backend per structurally distinct window, and clean windows
+//! fast-forward. The event feed additionally skips the per-round work of
+//! silent rounds, which at low lane counts is nearly every round — the
+//! gap that makes 10⁵-round availability sweeps tractable.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,9 +25,8 @@ use surf_sim::{
 };
 
 const D: usize = 5;
-/// Long enough that the eager path's quadratic construction cost (every
-/// window build scans the full O(rounds) graph) dominates — the regime
-/// the 10⁵-round availability sweeps live in.
+/// A long horizon: construction is O(rounds), so the per-round feed cost
+/// is what separates the two columns.
 const ROUNDS: u32 = 2048;
 
 fn decoding_model(rounds: u32) -> DetectorModel {
@@ -37,24 +35,18 @@ fn decoding_model(rounds: u32) -> DetectorModel {
     DetectorModel::build(&patch, Basis::Z, rounds, &noise, DecoderPrior::Informed)
 }
 
-fn build(model: &DetectorModel, sparse: bool) -> WindowedDecoder {
-    let construct = if sparse {
-        WindowedDecoder::sparse
-    } else {
-        WindowedDecoder::new
-    };
-    construct(
+fn build(model: &DetectorModel) -> Arc<WindowedDecoder> {
+    Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         WindowConfig::new(2 * D as u32),
         DecoderKind::Mwpm.factory(),
-    )
+    ))
 }
 
-/// Streams the whole horizon once: build the decoder, feed every round,
-/// finish. Dense eagerly compiles ~`ROUNDS / d` MWPM backends and runs
-/// each window through one; sparse compiles the few structurally
-/// distinct windows and fast-forwards clean ones.
+/// Streams the whole horizon once: build the decoder, feed it, finish.
+/// `dense` pushes every round; `sparse` pushes only the rounds that
+/// fired and advances over the silent ones.
 fn bench_rounds_per_sec(c: &mut Criterion) {
     let model = decoding_model(ROUNDS);
     let mut group = c.benchmark_group("sparse_streaming_rounds_per_sec");
@@ -64,9 +56,8 @@ fn bench_rounds_per_sec(c: &mut Criterion) {
             let mut stream = RoundStream::new(&model);
             let mut rng = StdRng::seed_from_u64(31);
             b.iter(|| {
-                let decoder = std::sync::Arc::new(build(&model, false));
                 stream.begin(&mut rng, lanes);
-                let mut session = decoder.into_session(lanes);
+                let mut session = build(&model).into_session(lanes);
                 while let Some(slice) = stream.next_round() {
                     session.push_round(slice.round, slice.detectors, slice.words);
                 }
@@ -77,10 +68,9 @@ fn bench_rounds_per_sec(c: &mut Criterion) {
             let mut events = SparseRoundStream::new(&model);
             let mut rng = StdRng::seed_from_u64(31);
             b.iter(|| {
-                let decoder = std::sync::Arc::new(build(&model, true));
                 events.begin(&mut rng, lanes);
                 let total = events.total_rounds();
-                let mut session = decoder.into_session(lanes);
+                let mut session = build(&model).into_session(lanes);
                 let mut filled = 0u32;
                 while let Some(event) = events.next_event() {
                     if event.round > filled {
@@ -101,37 +91,32 @@ fn bench_rounds_per_sec(c: &mut Criterion) {
 
 /// Worst-case wall-clock of the single push that completes (and decodes)
 /// one window — the real-time latency bound — through a pre-built
-/// decoder, dense vs sparse. Sparse must never regress the bound: a
-/// dirty window decodes through the same backend; a clean one commits
-/// in O(1).
+/// decoder.
 fn bench_worst_commit_latency(c: &mut Criterion) {
     let rounds = 200u32;
     let model = decoding_model(rounds);
     let mut group = c.benchmark_group("sparse_commit_latency");
-    for sparse in [false, true] {
-        let decoder = build(&model, sparse);
-        let label = if sparse { "sparse" } else { "dense" };
-        let mut stream = RoundStream::new(&model);
-        let mut rng = StdRng::seed_from_u64(17);
-        group.bench_with_input(BenchmarkId::new("worst_commit", label), &(), |b, _| {
-            b.iter(|| {
-                stream.begin(&mut rng, 64);
-                let mut session = decoder.session(64);
-                let mut worst = Duration::ZERO;
-                while let Some(slice) = stream.next_round() {
-                    let before = session.windows_committed();
-                    let t0 = Instant::now();
-                    session.push_round(slice.round, slice.detectors, slice.words);
-                    let dt = t0.elapsed();
-                    if session.windows_committed() > before && dt > worst {
-                        worst = dt;
-                    }
+    let decoder = build(&model);
+    let mut stream = RoundStream::new(&model);
+    let mut rng = StdRng::seed_from_u64(17);
+    group.bench_with_input(BenchmarkId::new("worst_commit", "dense"), &(), |b, _| {
+        b.iter(|| {
+            stream.begin(&mut rng, 64);
+            let mut session = Arc::clone(&decoder).into_session(64);
+            let mut worst = Duration::ZERO;
+            while let Some(slice) = stream.next_round() {
+                let before = session.windows_committed();
+                let t0 = Instant::now();
+                session.push_round(slice.round, slice.detectors, slice.words);
+                let dt = t0.elapsed();
+                if session.windows_committed() > before && dt > worst {
+                    worst = dt;
                 }
-                std::hint::black_box(session.finish());
-                std::hint::black_box(worst)
-            });
+            }
+            std::hint::black_box(session.finish());
+            std::hint::black_box(worst)
         });
-    }
+    });
     group.finish();
 }
 

@@ -4,6 +4,7 @@
 //! metric a real-time decoder must keep below the round cadence), down to
 //! the steady-state commit of an unbounded-horizon (periodic) session.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -24,13 +25,13 @@ fn decoding_model(d: usize, rounds: u32) -> DetectorModel {
     DetectorModel::build(&patch, Basis::Z, rounds, &noise, DecoderPrior::Informed)
 }
 
-fn windowed(model: &DetectorModel, window: u32) -> WindowedDecoder {
-    WindowedDecoder::new(
+fn windowed(model: &DetectorModel, window: u32) -> Arc<WindowedDecoder> {
+    Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         WindowConfig::new(window),
         DecoderKind::Mwpm.factory(),
-    )
+    ))
 }
 
 /// Full-batch decode vs streamed (round-major feed + windowed decode) on
@@ -82,7 +83,7 @@ fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sample_and_stream", d), &d, |b, _| {
             b.iter(|| {
                 stream.begin(&mut stream_rng, 64);
-                let mut session = streamer.session(64);
+                let mut session = Arc::clone(&streamer).into_session(64);
                 while let Some(slice) = stream.next_round() {
                     session.push_round(slice.round, slice.detectors, slice.words);
                 }
@@ -109,7 +110,7 @@ fn bench_commit_latency(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("commit", window), &window, |b, _| {
             b.iter(|| {
                 stream.begin(&mut rng, 64);
-                let mut session = streamer.session(64);
+                let mut session = Arc::clone(&streamer).into_session(64);
                 let mut worst = Duration::ZERO;
                 while let Some(slice) = stream.next_round() {
                     let before = session.windows_committed();

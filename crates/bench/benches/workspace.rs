@@ -9,6 +9,7 @@
 //! integration test in `surf-matching`) by discarding the first commit of
 //! each session and reporting the worst of the rest.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,18 +39,18 @@ fn bench_steady_state_commit_latency(c: &mut Criterion) {
             DecoderKind::Mwpm => "mwpm",
             DecoderKind::UnionFind => "union_find",
         };
-        let streamer = WindowedDecoder::new(
+        let streamer = Arc::new(WindowedDecoder::new(
             model.graph.clone(),
             model.detector_rounds.clone(),
             WindowConfig::new(2 * d as u32),
             kind.factory(),
-        );
+        ));
         let mut stream = RoundStream::new(&model);
         let mut rng = StdRng::seed_from_u64(17);
         group.bench_with_input(BenchmarkId::new("steady_commit", label), &label, |b, _| {
             b.iter(|| {
                 stream.begin(&mut rng, 64);
-                let mut session = streamer.session(64);
+                let mut session = Arc::clone(&streamer).into_session(64);
                 let mut commits = 0u32;
                 let mut worst = Duration::ZERO;
                 while let Some(slice) = stream.next_round() {

@@ -57,6 +57,5 @@ pub use mwpm::{MwpmDecoder, MwpmScratch};
 pub use source::{RoundModelSource, SourceEdge, WindowTranslation};
 pub use unionfind::{UfScratch, UnionFindDecoder};
 pub use windowed::{
-    DecoderFactory, GraphEpoch, OwnedWindowedSession, WindowConfig, WindowParts, WindowedDecoder,
-    WindowedSession,
+    DecoderFactory, GraphEpoch, WindowConfig, WindowParts, WindowedDecoder, WindowedSession,
 };

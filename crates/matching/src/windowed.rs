@@ -36,48 +36,44 @@
 //! bit-identical — while `w = rounds` reduces exactly to the inner
 //! decoder and `w = 1` degenerates to greedy round-by-round commitment.
 //!
-//! # Sparse mode
+//! # Plans, sharing and fast-forward
 //!
-//! [`WindowedDecoder::sparse`] / [`from_epochs_sparse`]
-//! (WindowedDecoder::from_epochs_sparse) build the same decoder in an
-//! event-driven shape for very long, mostly-silent streams (the 10⁵–10⁶
-//! round availability horizons of the cosmic-ray ride-through scenario):
+//! Each window decodes through a *plan*: its detectors in global ids, an
+//! inner backend over its sub-graph, and its carry table. Every decoder
+//! keeps its plans in one table, keyed by window index and never evicted:
 //!
-//! * **Lazy window plans.** Window sub-graphs and inner decoders are built
-//!   on first use instead of eagerly for every window, and windows whose
-//!   sub-graphs are structurally identical (the steady state
-//!   between geometry epochs — almost all of a long stream) *share* one
-//!   inner decoder. A 10⁵-round session compiles a handful of backends
-//!   instead of tens of thousands.
+//! * **Structural sharing.** Windows whose sub-graphs are identical (the
+//!   steady state between geometry epochs — almost all of a long stream)
+//!   share one backend, so a 10⁵-round stream compiles a handful of
+//!   backends instead of tens of thousands.
+//! * **Resolution.** A decoder over a materialised graph resolves every
+//!   window at construction from a round-major detector index: O(rounds)
+//!   like the model build it follows, and session pushes never assemble
+//!   (or allocate) a plan. A virtual decoder (below) resolves a window on
+//!   first touch instead, and only when the source cannot serve it by
+//!   translation.
 //! * **Fast-forward.** Sessions track which rounds have ever seen a
 //!   nonzero defect word (including carry targets). A ready window whose
 //!   rounds are all clean must decode to an empty matching with zero
-//!   observable flips, so it is committed trivially without touching the
-//!   backend — the skip is *exact*, not approximate. Dense-built decoders
-//!   never skip, so the eager path remains a bit-identical baseline.
-//! * **Bulk advance.** [`WindowedSession::advance_silent`] /
-//!   [`OwnedWindowedSession::advance_silent`] feed `n` defect-free rounds
-//!   in one call, letting sparse samplers jump from event to event in
-//!   O(windows touched) instead of O(rounds).
-//!
-//! Both modes run the identical window assembly and decode sequence, so
-//! eager and sparse decoders agree bit for bit on every stream (see the
-//! `sparse_*` tests below).
+//!   observable flips, so it is committed without touching the backend —
+//!   the skip is *exact*, not approximate, so every session takes it.
+//! * **Bulk advance.** [`WindowedSession::advance_silent`] feeds `n`
+//!   defect-free rounds in one call, letting event-driven samplers jump
+//!   from event to event in O(windows touched) instead of O(rounds).
 //!
 //! # Virtual mode
 //!
-//! [`WindowedDecoder::virtual_source`] goes one step further for
-//! unbounded horizons: instead of a pre-materialised graph + round table
-//! (O(rounds) memory before the first shot), the decoder holds a
-//! [`RoundModelSource`] and builds each window's detectors and candidate
-//! edges on demand. Sessions keep their defect and dirty state in sparse
-//! maps pruned at the commit frontier, so a virtual session's resident
-//! memory is O(in-flight windows + events), independent of the horizon.
-//! Virtual decoders are session-only:
-//! [`decode_history`](WindowedDecoder::decode_history) panics, because the
-//! full graph is never materialised. Window assembly replays the identical
-//! edge sequence the materialised sparse path would visit, so committed
-//! results stay bit-identical.
+//! [`WindowedDecoder::virtual_source`] serves unbounded horizons: instead
+//! of a pre-materialised graph + round table (O(rounds) memory before the
+//! first shot), the decoder holds a [`RoundModelSource`] and builds each
+//! window's detectors and candidate edges on demand. Sessions keep their
+//! defect and dirty state in sparse maps pruned at the commit frontier,
+//! so a virtual session's resident memory is O(in-flight windows +
+//! events), independent of the horizon. Virtual decoders are
+//! session-only: [`decode_history`](WindowedDecoder::decode_history)
+//! panics, because the full graph is never materialised. Window assembly
+//! replays the identical edge sequence the materialised path would visit,
+//! so committed results stay bit-identical.
 //!
 //! ## Template translation
 //!
@@ -91,13 +87,14 @@
 //! `globals[k] + δ·stride[k]` and carrying to targets shifted the same
 //! way — through the very backend a direct assembly would have shared.
 //! Sessions cache the templates they use, so steady-state pushes and
-//! silent advances take no lock; boundary, strike and final windows are
-//! assembled on demand as before. Plan assemblies per session therefore
-//! stop growing with the horizon
-//! ([`plan_builds`](WindowedDecoder::plan_builds)).
+//! silent advances take no lock. Only the windows translation refuses —
+//! boundaries, strikes and the final window — get plans of their own, so
+//! the schedule, not the horizon, sets the number of plan assemblies
+//! ([`plan_builds`](WindowedDecoder::plan_builds)), and every session of
+//! the decoder reuses them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use surf_pauli::BitBatch;
@@ -174,8 +171,8 @@ impl WindowConfig {
 }
 
 /// One window's bookkeeping: its sub-graph decoder (possibly shared with
-/// structurally identical windows in sparse mode) plus the translation
-/// between global detectors and window-local node ids.
+/// structurally identical windows) plus the translation between global
+/// detectors and window-local node ids.
 struct WindowPlan {
     /// Window detectors in global ids; local node `i` = `globals[i]`.
     globals: Vec<u32>,
@@ -227,37 +224,19 @@ impl std::fmt::Debug for WindowPlan {
     }
 }
 
-/// Where window plans come from: built eagerly up front (dense mode),
-/// resolved on demand with structural decoder sharing (sparse mode, over
-/// a round-major detector index), or assembled from a
-/// [`RoundModelSource`] (virtual mode, no materialised graph at all).
-enum PlanStore {
-    Eager(Vec<Arc<WindowPlan>>),
-    Lazy {
-        table: Mutex<PlanTable>,
-        /// All detectors sorted by `(round, detector)`.
-        dets: Vec<u32>,
-        /// `dets[round_start[r]..round_start[r + 1]]` are round `r`'s
-        /// detectors in ascending id order.
-        round_start: Vec<u32>,
-    },
-    Virtual(Mutex<PlanTable>),
-}
-
-/// The on-demand plan state behind the sparse and virtual stores.
+/// A decoder's window plans: resolved plans keyed by window index, the
+/// structurally shared backends behind them, and the steady-state
+/// templates of virtual decoders. Nothing is ever evicted.
 struct PlanTable {
     factory: DecoderFactory,
-    /// Plans already resolved, keyed by window index. A session evicts
-    /// the entries below its own commit frontier after each drain, so the
-    /// table stays O(in-flight windows) on 10⁵⁺-round streams instead of
-    /// O(windows).
+    /// Plans resolved so far, keyed by window index.
     resolved: HashMap<usize, Arc<WindowPlan>>,
     /// Distinct inner decoders built so far, most recently used first;
     /// a candidate window whose sub-graph equals a canonical
     /// decoder's graph reuses it instead of compiling a new backend.
     canon: Vec<Arc<dyn Decoder>>,
     /// Steady-state template plans keyed by canonical start round
-    /// (virtual mode only): built on first touch, never evicted.
+    /// (virtual decoders only), built on first touch.
     templates: HashMap<u32, Arc<WindowPlan>>,
 }
 
@@ -269,12 +248,6 @@ impl PlanTable {
             canon: Vec::new(),
             templates: HashMap::new(),
         }
-    }
-
-    fn lock(table: &Mutex<PlanTable>) -> MutexGuard<'_, PlanTable> {
-        table
-            .lock()
-            .expect("plan table poisoned: a session panicked while resolving a plan")
     }
 }
 
@@ -302,8 +275,8 @@ pub struct WindowParts {
 /// graph whose detectors carry round labels, committing matches in each
 /// window's commit region and carrying boundary defects forward.
 ///
-/// [`session`](WindowedDecoder::session) exposes the round-by-round feed
-/// used by `surf_sim`'s streaming experiments;
+/// [`into_session`](WindowedDecoder::into_session) opens the
+/// round-by-round feed used by `surf_sim`'s streaming experiments;
 /// [`decode_history`](WindowedDecoder::decode_history) streams complete
 /// histories in one call.
 ///
@@ -336,26 +309,29 @@ pub struct WindowParts {
 pub struct WindowedDecoder {
     graph: DecodingGraph,
     rounds_of: Vec<u32>,
+    /// Round-major detector index of a materialised graph (empty when
+    /// virtual): all detectors sorted by `(round, detector)`, with
+    /// `dets[round_start[r]..round_start[r + 1]]` round `r`'s detectors
+    /// in ascending id order.
+    dets: Vec<u32>,
+    round_start: Vec<u32>,
     /// Round-indexed model source (virtual mode); `None` when the graph
     /// and round table above are materialised.
     source: Option<Arc<dyn RoundModelSource>>,
     /// One past the largest round label.
     total_rounds: u32,
     config: WindowConfig,
-    store: PlanStore,
+    plans: Mutex<PlanTable>,
     /// Window assemblies so far (see [`plan_builds`](Self::plan_builds)).
     plan_builds: AtomicU64,
-    /// Lowest window index holding a resolved on-demand plan
-    /// (`usize::MAX` when none). Written only under the plan-store lock;
-    /// read without it, so eviction skips the lock when nothing resolved
-    /// lies below the frontier.
-    lowest_resolved: AtomicUsize,
 }
 
 impl WindowedDecoder {
     /// Builds a windowed decoder over `graph`, whose detector `i` belongs
-    /// to round `rounds_of[i]`, with an inner backend built per window by
-    /// `factory`. Every observable bit of the graph streams through.
+    /// to round `rounds_of[i]`, with an inner backend built by `factory`
+    /// per structurally distinct window. Every observable bit of the
+    /// graph streams through. All window plans resolve here, in
+    /// O(rounds), so sessions never assemble one.
     ///
     /// # Panics
     ///
@@ -367,36 +343,36 @@ impl WindowedDecoder {
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, config, factory, false)
-    }
-
-    /// [`new`](WindowedDecoder::new) in sparse mode: window plans are
-    /// resolved lazily on first use, structurally identical windows share
-    /// one inner decoder, and sessions fast-forward through defect-free
-    /// windows without invoking the backend.
-    ///
-    /// Decodes bit-identically to the eager construction on every stream.
-    pub fn sparse(
-        graph: DecodingGraph,
-        rounds_of: Vec<u32>,
-        config: WindowConfig,
-        factory: DecoderFactory,
-    ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, config, factory, true)
-    }
-
-    fn build(
-        graph: DecodingGraph,
-        rounds_of: Vec<u32>,
-        config: WindowConfig,
-        factory: DecoderFactory,
-        sparse: bool,
-    ) -> Self {
         assert_eq!(
             rounds_of.len(),
             graph.num_nodes(),
             "one round label per detector required"
         );
+        let total_rounds = rounds_of.iter().map(|&r| r + 1).max().unwrap_or(0);
+        let mut dets: Vec<u32> = (0..graph.num_nodes() as u32).collect();
+        dets.sort_unstable_by_key(|&d| (rounds_of[d as usize], d));
+        let mut round_start = vec![0u32; total_rounds as usize + 1];
+        for &d in &dets {
+            round_start[rounds_of[d as usize] as usize + 1] += 1;
+        }
+        for r in 0..total_rounds as usize {
+            round_start[r + 1] += round_start[r];
+        }
+        let decoder = WindowedDecoder {
+            graph,
+            rounds_of,
+            dets,
+            round_start,
+            ..WindowedDecoder::empty(total_rounds, config, factory)
+        };
+        for index in 0..decoder.num_windows() {
+            decoder.plan(index);
+        }
+        decoder
+    }
+
+    /// A decoder with no model and no plans yet, after checking `config`.
+    fn empty(total_rounds: u32, config: WindowConfig, factory: DecoderFactory) -> Self {
         // Re-validate the config: its fields are `pub`, so a struct
         // literal can bypass the constructor asserts. commit = 0 would
         // produce infinitely many windows; commit > window would leave
@@ -408,48 +384,17 @@ impl WindowedDecoder {
             config.commit,
             config.window
         );
-        let total_rounds = rounds_of.iter().map(|&r| r + 1).max().unwrap_or(0);
-        let mut decoder = WindowedDecoder {
-            graph,
-            rounds_of,
+        WindowedDecoder {
+            graph: DecodingGraph::new(0),
+            rounds_of: Vec::new(),
+            dets: Vec::new(),
+            round_start: Vec::new(),
             source: None,
             total_rounds,
             config,
-            store: PlanStore::Eager(Vec::new()),
+            plans: Mutex::new(PlanTable::new(factory)),
             plan_builds: AtomicU64::new(0),
-            lowest_resolved: AtomicUsize::new(usize::MAX),
-        };
-        decoder.store = if sparse {
-            let mut dets: Vec<u32> = (0..decoder.graph.num_nodes() as u32).collect();
-            dets.sort_unstable_by_key(|&d| (decoder.rounds_of[d as usize], d));
-            let mut round_start = vec![0u32; total_rounds as usize + 1];
-            for &d in &dets {
-                round_start[decoder.rounds_of[d as usize] as usize + 1] += 1;
-            }
-            for r in 0..total_rounds as usize {
-                round_start[r + 1] += round_start[r];
-            }
-            PlanStore::Lazy {
-                table: Mutex::new(PlanTable::new(factory)),
-                dets,
-                round_start,
-            }
-        } else {
-            let mut plans = Vec::with_capacity(decoder.num_windows());
-            for index in 0..decoder.num_windows() {
-                let (start, end, cut) = decoder.window_bounds(index);
-                let (globals, window_graph, carries) = decoder.build_parts(start, end, cut);
-                plans.push(Arc::new(WindowPlan {
-                    globals,
-                    decoder: Arc::from(factory(window_graph)),
-                    carries,
-                    strides: Vec::new(),
-                    carry_strides: Vec::new(),
-                }));
-            }
-            PlanStore::Eager(plans)
-        };
-        decoder
+        }
     }
 
     /// Builds a windowed decoder over epoch pieces spliced into one
@@ -476,18 +421,6 @@ impl WindowedDecoder {
     ) -> Self {
         let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
         WindowedDecoder::new(graph, rounds_of, config, factory)
-    }
-
-    /// [`from_epochs`](WindowedDecoder::from_epochs) in sparse mode; see
-    /// [`sparse`](WindowedDecoder::sparse).
-    pub fn from_epochs_sparse(
-        num_detectors: usize,
-        epochs: &[GraphEpoch],
-        config: WindowConfig,
-        factory: DecoderFactory,
-    ) -> Self {
-        let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::sparse(graph, rounds_of, config, factory)
     }
 
     fn splice_epochs(num_detectors: usize, epochs: &[GraphEpoch]) -> (DecodingGraph, Vec<u32>) {
@@ -535,10 +468,11 @@ impl WindowedDecoder {
     /// no materialised graph: window detectors and candidate edges are
     /// asked of `source` on demand, and sessions keep sparse defect state
     /// pruned at the commit frontier — resident memory O(in-flight
-    /// windows + events) regardless of the horizon.
+    /// windows + events) regardless of the horizon. A window's plan
+    /// resolves on first touch, and only if the source cannot serve it by
+    /// translation.
     ///
-    /// Virtual decoders are always sparse (lazy plans, structural backend
-    /// sharing, clean-window fast-forward) and serve *sessions only*:
+    /// Virtual decoders serve *sessions only*:
     /// [`decode_history`](WindowedDecoder::decode_history) panics.
     ///
     /// # Panics
@@ -550,38 +484,17 @@ impl WindowedDecoder {
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        assert!(config.window > 0, "window must be at least one round");
-        assert!(
-            (1..=config.window).contains(&config.commit),
-            "commit {} outside 1..={}",
-            config.commit,
-            config.window
-        );
         let total_rounds = source.total_rounds();
         WindowedDecoder {
-            graph: DecodingGraph::new(0),
-            rounds_of: Vec::new(),
             source: Some(source),
-            total_rounds,
-            config,
-            store: PlanStore::Virtual(Mutex::new(PlanTable::new(factory))),
-            plan_builds: AtomicU64::new(0),
-            lowest_resolved: AtomicUsize::new(usize::MAX),
+            ..WindowedDecoder::empty(total_rounds, config, factory)
         }
     }
 
-    /// Whether this decoder was built in sparse (lazy-plan, fast-forward)
-    /// mode; virtual decoders are always sparse.
-    pub fn is_sparse(&self) -> bool {
-        self.table().is_some()
-    }
-
-    /// The on-demand plan table (sparse and virtual stores).
-    fn table(&self) -> Option<&Mutex<PlanTable>> {
-        match &self.store {
-            PlanStore::Eager(_) => None,
-            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => Some(table),
-        }
+    fn table(&self) -> MutexGuard<'_, PlanTable> {
+        self.plans
+            .lock()
+            .expect("plan table poisoned: a session panicked while resolving a plan")
     }
 
     /// Whether this decoder serves windows from a [`RoundModelSource`]
@@ -599,64 +512,22 @@ impl WindowedDecoder {
         }
     }
 
-    /// Number of distinct inner decoder backends compiled so far: eager
-    /// decoders compile one per window up front; sparse decoders compile
-    /// one per *structurally distinct* window, on demand. Useful for
-    /// asserting (and benchmarking) plan sharing.
+    /// Number of distinct inner decoder backends compiled so far: one per
+    /// *structurally distinct* resolved window. Useful for asserting (and
+    /// benchmarking) plan sharing.
     pub fn compiled_backends(&self) -> usize {
-        match &self.store {
-            PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => {
-                PlanTable::lock(table).canon.len()
-            }
-        }
-    }
-
-    /// Number of resolved window plans currently retained. Eager decoders
-    /// hold every window's plan for their whole lifetime; sparse decoders
-    /// resolve plans on demand and evict them once committed, so this
-    /// stays bounded on arbitrarily long streams. Virtual template plans
-    /// are not counted: there are a few per steady stretch, whatever the
-    /// horizon.
-    pub fn live_plans(&self) -> usize {
-        match &self.store {
-            PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => {
-                PlanTable::lock(table).resolved.len()
-            }
-        }
+        self.table().canon.len()
     }
 
     /// Window assemblies performed so far, across every session of this
-    /// decoder: one per eager window at construction, one per on-demand
-    /// plan resolution (including re-resolution of an evicted plan), and
-    /// two per virtual template (the canonical window and its one-period
-    /// translate). Steady-state windows served by translation assemble
-    /// nothing, so on a periodic source this stops growing with the
-    /// horizon.
+    /// decoder: one per window at construction for a materialised graph;
+    /// for a virtual decoder, one per window translation refuses, on
+    /// first touch, plus two per template (the canonical window and its
+    /// one-period translate). Resolved plans are kept, so this never
+    /// grows with further sessions over windows already touched, and on
+    /// a periodic source it stops growing with the horizon.
     pub fn plan_builds(&self) -> u64 {
         self.plan_builds.load(Ordering::Relaxed)
-    }
-
-    /// Drops resolved on-demand plans for windows below `floor` — the
-    /// *calling* session's commit frontier, not that of every live
-    /// session. A concurrent session lagging behind it that still needs
-    /// an evicted window re-resolves it: a full window assembly (about
-    /// 250 µs at d = 5) plus a structural lookup that finds the same
-    /// shared backend, so eviction costs time but never changes results.
-    /// Template plans are never evicted. Takes no lock when nothing
-    /// resolved lies below `floor`.
-    fn evict_plans_below(&self, floor: usize) {
-        if self.lowest_resolved.load(Ordering::Relaxed) >= floor {
-            return;
-        }
-        let Some(table) = self.table() else {
-            return;
-        };
-        let mut table = PlanTable::lock(table);
-        table.resolved.retain(|&i, _| i >= floor);
-        let lowest = table.resolved.keys().copied().min().unwrap_or(usize::MAX);
-        self.lowest_resolved.store(lowest, Ordering::Relaxed);
     }
 
     /// `(start, end, cut)` of window `index`: it decodes rounds
@@ -686,15 +557,11 @@ impl WindowedDecoder {
         self.source.as_ref()?.window_translation(start..end)
     }
 
-    /// Resolves window `index`'s plan: a direct lookup for eager
-    /// decoders; for sparse ones, builds (or re-uses a structurally
-    /// identical) plan on first touch.
+    /// Resolves window `index`'s plan: the table entry when resolved,
+    /// else the window is assembled (reusing a structurally identical
+    /// backend) and kept.
     fn plan(&self, index: usize) -> Arc<WindowPlan> {
-        let table = match &self.store {
-            PlanStore::Eager(plans) => return Arc::clone(&plans[index]),
-            PlanStore::Lazy { table, .. } | PlanStore::Virtual(table) => table,
-        };
-        if let Some(plan) = PlanTable::lock(table).resolved.get(&index) {
+        if let Some(plan) = self.table().resolved.get(&index) {
             return Arc::clone(plan);
         }
         // Assemble outside the lock so sessions resolving other windows
@@ -702,7 +569,7 @@ impl WindowedDecoder {
         // and the first insert wins.
         let (start, end, cut) = self.window_bounds(index);
         let (globals, window_graph, carries) = self.build_parts(start, end, cut);
-        let mut table = PlanTable::lock(table);
+        let mut table = self.table();
         let table = &mut *table;
         if let Some(plan) = table.resolved.get(&index) {
             return Arc::clone(plan);
@@ -715,7 +582,6 @@ impl WindowedDecoder {
             carry_strides: Vec::new(),
         });
         table.resolved.insert(index, Arc::clone(&plan));
-        self.lowest_resolved.fetch_min(index, Ordering::Relaxed);
         plan
     }
 
@@ -723,7 +589,7 @@ impl WindowedDecoder {
     /// translate to `t.canonical_start`. Built on first touch from the
     /// canonical window and its one-period translate — their difference
     /// is each local detector's (and carry target's) stride — then shared
-    /// by every session and never evicted. The backend is the one
+    /// by every session. The backend is the one
     /// [`canon_decoder`](Self::canon_decoder) picks for the canonical
     /// window graph, i.e. the one a direct assembly would have shared.
     ///
@@ -732,8 +598,7 @@ impl WindowedDecoder {
     /// Panics if the source's translation claim is false (the two windows
     /// differ in shape).
     fn template(&self, t: WindowTranslation) -> Arc<WindowPlan> {
-        let table = self.table().expect("templates need an on-demand store");
-        if let Some(plan) = PlanTable::lock(table).templates.get(&t.canonical_start) {
+        if let Some(plan) = self.table().templates.get(&t.canonical_start) {
             return Arc::clone(plan);
         }
         let WindowConfig { window, commit } = self.config;
@@ -764,7 +629,7 @@ impl WindowedDecoder {
             .zip(&next_carries)
             .map(|(&a, &b)| if a == NO_CARRY { 0 } else { stride(a, b) })
             .collect();
-        let mut table = PlanTable::lock(table);
+        let mut table = self.table();
         let table = &mut *table;
         if let Some(plan) = table.templates.get(&s0) {
             return Arc::clone(plan);
@@ -808,7 +673,7 @@ impl WindowedDecoder {
     }
 
     /// Finds (or compiles) the canonical shared backend for a window
-    /// sub-graph — the structural-sharing core of both lazy stores.
+    /// sub-graph — the structural-sharing core of the plan table.
     fn canon_decoder(
         canon: &mut Vec<Arc<dyn Decoder>>,
         factory: &DecoderFactory,
@@ -834,62 +699,25 @@ impl WindowedDecoder {
     }
 
     /// Assembles the window over `[start, end)` committing below `cut`
-    /// from whatever this decoder holds — the model source, the
-    /// round-major index, or the full graph — counting it in
+    /// from whatever this decoder holds — the model source or the
+    /// round-major index of its graph — counting it in
     /// [`plan_builds`](Self::plan_builds).
     fn build_parts(&self, start: u32, end: u32, cut: u32) -> Parts {
         self.plan_builds.fetch_add(1, Ordering::Relaxed);
-        match (&self.source, &self.store) {
-            (Some(source), _) => self.build_parts_virtual(source.as_ref(), start, end, cut),
-            (
-                None,
-                PlanStore::Lazy {
-                    dets, round_start, ..
-                },
-            ) => self.build_parts_lazy(dets, round_start, start, end, cut),
-            (None, _) => self.build_parts_eager(start, end, cut),
+        match &self.source {
+            Some(source) => self.build_parts_virtual(source.as_ref(), start, end, cut),
+            None => self.build_parts_indexed(start, end, cut),
         }
     }
 
-    /// Eager window-part construction: O(detectors + edges) scans, used
-    /// once per window at build time.
-    fn build_parts_eager(&self, start: u32, end: u32, cut: u32) -> Parts {
-        let mut globals: Vec<u32> = Vec::new();
-        let mut local_vec = vec![u32::MAX; self.graph.num_nodes()];
-        for (det, &round) in self.rounds_of.iter().enumerate() {
-            if (start..end).contains(&round) {
-                local_vec[det] = globals.len() as u32;
-                globals.push(det as u32);
-            }
-        }
-        let edges = self.graph.edges();
-        let (window_graph, carries) = self.assemble_window(
-            start,
-            end,
-            cut,
-            &globals,
-            &mut |det| local_vec[det as usize],
-            &mut edges.iter().map(SourceEdge::from_graph_edge),
-        );
-        (globals, window_graph, carries)
-    }
-
-    /// Lazy window-part construction: O(window detectors · log) via the
-    /// round-major detector index, independent of the stream length.
-    /// Produces node and edge orderings identical to the eager path
-    /// (detectors ascending; candidate edges visited in ascending edge-id
-    /// order), so the resulting plans are bit-identical.
-    fn build_parts_lazy(
-        &self,
-        dets: &[u32],
-        round_start: &[u32],
-        start: u32,
-        end: u32,
-        cut: u32,
-    ) -> Parts {
-        let lo = round_start[start as usize] as usize;
-        let hi = round_start[end as usize] as usize;
-        let mut globals: Vec<u32> = dets[lo..hi].to_vec();
+    /// Window-part construction over a materialised graph: O(window
+    /// detectors · log) via the round-major detector index, independent
+    /// of the stream length. Detectors are visited in ascending id order
+    /// and candidate edges in ascending edge-id order.
+    fn build_parts_indexed(&self, start: u32, end: u32, cut: u32) -> Parts {
+        let lo = self.round_start[start as usize] as usize;
+        let hi = self.round_start[end as usize] as usize;
+        let mut globals: Vec<u32> = self.dets[lo..hi].to_vec();
         globals.sort_unstable();
         let mut edge_ids: Vec<usize> = Vec::new();
         for &det in &globals {
@@ -914,7 +742,7 @@ impl WindowedDecoder {
     /// Virtual window-part construction: detectors and candidate edges
     /// come from the round-indexed model source, visited in the same
     /// relative order the materialised graph stores them, so the
-    /// assembled plans are bit-identical to the lazy path over the
+    /// assembled plans are bit-identical to the indexed path over the
     /// equivalent monolithic graph.
     fn build_parts_virtual(
         &self,
@@ -940,7 +768,7 @@ impl WindowedDecoder {
     }
 
     /// Builds the sub-graph (and per-edge carry table) of one window from
-    /// a candidate edge set — the shared core of both the eager and lazy
+    /// a candidate edge set — the shared core of the indexed and virtual
     /// paths.
     ///
     /// Edge placement rules (rounds `ra <= rb` of the endpoints):
@@ -1037,21 +865,29 @@ impl WindowedDecoder {
         &self.rounds_of
     }
 
-    /// Starts a streaming session over up to `lanes` parallel shots; feed
-    /// it rounds in order via [`WindowedSession::push_round`].
-    pub fn session(&self, lanes: usize) -> WindowedSession<'_> {
-        WindowedSession {
-            core: SessionCore::new(self, lanes),
-            decoder: self,
-        }
+    /// Round `round`'s detectors in ascending id order, read from the
+    /// round-major index.
+    ///
+    /// # Panics
+    ///
+    /// Panics for virtual decoders, which hold no index (ask their model
+    /// source instead), and for rounds past the stream end.
+    pub fn round_detectors(&self, round: u32) -> &[u32] {
+        assert!(
+            !self.is_virtual(),
+            "virtual windowed decoders hold no round index"
+        );
+        let r = round as usize;
+        &self.dets[self.round_start[r] as usize..self.round_start[r + 1] as usize]
     }
 
-    /// [`session`](Self::session) for an `Arc`-held decoder: the returned
-    /// [`OwnedWindowedSession`] keeps the decoder alive itself, so it can
-    /// outlive the scope (e.g. a daemon request handler) that created it
-    /// and move freely across threads.
-    pub fn into_session(self: Arc<Self>, lanes: usize) -> OwnedWindowedSession {
-        OwnedWindowedSession {
+    /// Starts a streaming session over up to `lanes` parallel shots; feed
+    /// it rounds in order via [`WindowedSession::push_round`]. The
+    /// session holds the decoder through its [`Arc`], so it can outlive
+    /// the scope (e.g. a daemon request handler) that created it and move
+    /// freely across threads.
+    pub fn into_session(self: Arc<Self>, lanes: usize) -> WindowedSession {
+        WindowedSession {
             core: SessionCore::new(&self, lanes),
             decoder: self,
         }
@@ -1159,10 +995,10 @@ impl DirtyRounds {
     }
 }
 
-/// The per-session state behind both session handles: residual defects,
-/// fill cursor, and committed observables. Every method takes the decoder
-/// explicitly so the state can be owned next to either a borrowed or an
-/// `Arc`-held [`WindowedDecoder`].
+/// The per-session state behind [`WindowedSession`] and
+/// [`WindowedDecoder::decode_history`]: residual defects, fill cursor,
+/// and committed observables. Every method takes the decoder explicitly,
+/// so whole-history decoding runs without an `Arc`.
 #[derive(Clone, Debug)]
 struct SessionCore {
     /// Current residual defects, one word per global detector.
@@ -1178,9 +1014,8 @@ struct SessionCore {
     /// One bit per round: set once the round has ever held a nonzero
     /// defect word in any lane (pushed or carried). Sticky and
     /// conservative — a clear bit *proves* the round is defect-free, so a
-    /// sparse decoder may fast-forward a ready window whose rounds are
-    /// all clear (empty matching, zero flips) without touching the
-    /// backend.
+    /// ready window whose rounds are all clear is fast-forwarded (empty
+    /// matching, zero flips) without touching the backend.
     dirty: DirtyRounds,
     /// One lane's window syndrome (local node ids).
     syndrome: Vec<usize>,
@@ -1286,10 +1121,10 @@ impl SessionCore {
 
     /// Feeds `rounds` defect-free rounds in one step (the bulk twin of
     /// pushing that many empty rounds) and decodes every window that
-    /// becomes ready. With a sparse decoder, ready windows whose rounds
-    /// never saw a defect (including carries) commit without invoking the
-    /// backend, so skipping a long silent stretch costs O(windows), not
-    /// O(rounds · backend).
+    /// becomes ready. Ready windows whose rounds never saw a defect
+    /// (including carries) commit without invoking the backend, so
+    /// skipping a long silent stretch costs O(windows), not O(rounds ·
+    /// backend).
     fn advance_silent(&mut self, decoder: &WindowedDecoder, rounds: u32) {
         let target = self
             .filled_rounds
@@ -1305,20 +1140,19 @@ impl SessionCore {
         self.drain_ready(decoder);
     }
 
-    /// Decodes every plan whose window is fully streamed. Sparse decoders
-    /// skip windows proven clean by the dirty bitmap — exact, because an
+    /// Decodes every plan whose window is fully streamed, skipping
+    /// windows proven clean by the dirty record — exact, because an
     /// all-zero window batch decodes to an empty matching with zero
     /// observable flips and no carries. Steady-state virtual windows
     /// decode as translates of a template plan.
     fn drain_ready(&mut self, decoder: &WindowedDecoder) {
-        let sparse = decoder.is_sparse();
         let committed_from = self.next_plan;
         while self.next_plan < decoder.num_windows() {
             let (start, end, cut) = decoder.window_bounds(self.next_plan);
             if end > self.filled_rounds {
                 break;
             }
-            if sparse && self.window_is_clean(start, end) {
+            if self.window_is_clean(start, end) {
                 self.windows_fast_forwarded += 1;
                 self.next_plan += 1;
                 continue;
@@ -1336,13 +1170,12 @@ impl SessionCore {
             self.windows_decoded += 1;
             self.next_plan += 1;
         }
-        if sparse && self.next_plan > committed_from {
-            decoder.evict_plans_below(self.next_plan);
+        if self.next_plan > committed_from {
             self.prune_committed(decoder);
         }
     }
 
-    /// Drops sparse session state below the commit frontier: committed
+    /// Drops virtual session state below the commit frontier: committed
     /// windows never re-read their defects or dirty marks (carry targets
     /// always land at or above the next window's start), so a virtual
     /// session stays O(in-flight windows + events) resident on unbounded
@@ -1429,93 +1262,22 @@ impl SessionCore {
     }
 }
 
-/// An in-flight streaming decode over up to 64 parallel shots.
+/// An in-flight streaming decode over up to 64 parallel shots, opened by
+/// [`WindowedDecoder::into_session`].
 ///
 /// Rounds are pushed in order; as soon as all rounds of the next window
 /// have arrived, the window is decoded and its commit region is final —
 /// the *commit latency* is one window of rounds, not the whole experiment.
-///
-/// This handle borrows its decoder; [`WindowedDecoder::into_session`]
-/// returns the [`OwnedWindowedSession`] twin for sessions that must own
-/// their decoder (long-lived server sessions).
-pub struct WindowedSession<'a> {
-    decoder: &'a WindowedDecoder,
-    core: SessionCore,
-}
-
-impl WindowedSession<'_> {
-    /// Number of parallel shot lanes.
-    pub fn lanes(&self) -> usize {
-        self.core.lanes
-    }
-
-    /// Number of windows already committed.
-    pub fn windows_committed(&self) -> usize {
-        self.core.next_plan
-    }
-
-    /// Committed windows decoded through the backend.
-    pub fn windows_decoded(&self) -> u64 {
-        self.core.windows_decoded
-    }
-
-    /// Committed windows fast-forwarded without the backend because no
-    /// defect reached them; `windows_decoded() + windows_fast_forwarded()`
-    /// equals [`windows_committed`](Self::windows_committed).
-    pub fn windows_fast_forwarded(&self) -> u64 {
-        self.core.windows_fast_forwarded
-    }
-
-    /// Per-lane committed observable masks accumulated so far.
-    pub fn observables(&self) -> &[u64] {
-        &self.core.observables
-    }
-
-    /// Feeds the detector words of `round` (`detectors[i]`'s word is
-    /// `words[i]`; lane `b` = shot `b`) and decodes every window whose
-    /// rounds are now complete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds arrive out of order or a detector does not belong
-    /// to `round`.
-    pub fn push_round(&mut self, round: u32, detectors: &[u32], words: &[u64]) {
-        self.core.push_round(self.decoder, round, detectors, words);
-    }
-
-    /// Feeds `rounds` defect-free rounds in one step — equivalent to that
-    /// many empty [`push_round`](Self::push_round) calls, but with a
-    /// sparse decoder the windows that become ready and are proven clean
-    /// commit without invoking the backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the advance runs past the end of the stream.
-    pub fn advance_silent(&mut self, rounds: u32) {
-        self.core.advance_silent(self.decoder, rounds);
-    }
-
-    /// Completes the stream and returns the per-lane predicted
-    /// observable-flip masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not all rounds have been pushed.
-    pub fn finish(self) -> Vec<u64> {
-        self.core.finish(self.decoder)
-    }
-}
-
-/// The owning twin of [`WindowedSession`]: holds its decoder through an
-/// [`Arc`], so the session can outlive the scope that created it and be
-/// sent across threads — the shape a decode server needs, where one
-/// request handler opens a session and later ones keep feeding it.
-pub struct OwnedWindowedSession {
+/// The session holds its decoder through an [`Arc`], so it can outlive
+/// the scope that created it and be sent across threads — the shape a
+/// decode server needs, where one request handler opens a session and
+/// later ones keep feeding it.
+pub struct WindowedSession {
     decoder: Arc<WindowedDecoder>,
     core: SessionCore,
 }
 
-impl OwnedWindowedSession {
+impl WindowedSession {
     /// Number of parallel shot lanes.
     pub fn lanes(&self) -> usize {
         self.core.lanes
@@ -1559,17 +1321,36 @@ impl OwnedWindowedSession {
         self.decoder.plan_builds()
     }
 
-    /// See [`WindowedSession::push_round`].
+    /// Feeds the detector words of `round` (`detectors[i]`'s word is
+    /// `words[i]`; lane `b` = shot `b`) and decodes every window whose
+    /// rounds are now complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if rounds arrive out of order or a detector does not belong
+    /// to `round`.
     pub fn push_round(&mut self, round: u32, detectors: &[u32], words: &[u64]) {
         self.core.push_round(&self.decoder, round, detectors, words);
     }
 
-    /// See [`WindowedSession::advance_silent`].
+    /// Feeds `rounds` defect-free rounds in one step — equivalent to that
+    /// many empty [`push_round`](Self::push_round) calls, but the windows
+    /// that become ready and are proven clean commit without invoking the
+    /// backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the advance runs past the end of the stream.
     pub fn advance_silent(&mut self, rounds: u32) {
         self.core.advance_silent(&self.decoder, rounds);
     }
 
-    /// See [`WindowedSession::finish`].
+    /// Completes the stream and returns the per-lane predicted
+    /// observable-flip masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if not all rounds have been pushed.
     pub fn finish(self) -> Vec<u64> {
         self.core.finish(&self.decoder)
     }
@@ -1607,14 +1388,13 @@ mod tests {
         (g, (0..rounds as u32).collect())
     }
 
-    fn windowed(rounds: usize, config: WindowConfig) -> WindowedDecoder {
+    fn windowed(rounds: usize, config: WindowConfig) -> Arc<WindowedDecoder> {
         let (g, r) = time_strip(rounds);
-        WindowedDecoder::new(g, r, config, mwpm_factory())
+        Arc::new(WindowedDecoder::new(g, r, config, mwpm_factory()))
     }
 
-    fn windowed_sparse(rounds: usize, config: WindowConfig) -> WindowedDecoder {
-        let (g, r) = time_strip(rounds);
-        WindowedDecoder::sparse(g, r, config, mwpm_factory())
+    fn open_session(d: &Arc<WindowedDecoder>, lanes: usize) -> WindowedSession {
+        Arc::clone(d).into_session(lanes)
     }
 
     #[test]
@@ -1735,7 +1515,7 @@ mod tests {
     #[test]
     fn session_streams_round_by_round() {
         let d = windowed(6, WindowConfig::new(4));
-        let mut session = d.session(2);
+        let mut session = open_session(&d, 2);
         // Lane 0: pair {1, 2}; lane 1: initial-boundary defect {0}.
         let per_round: [&[(u32, u64)]; 6] =
             [&[(0, 0b10)], &[(1, 0b01)], &[(2, 0b01)], &[], &[], &[]];
@@ -1751,7 +1531,7 @@ mod tests {
     #[test]
     fn early_windows_commit_before_stream_ends() {
         let d = windowed(9, WindowConfig::new(3));
-        let mut session = d.session(1);
+        let mut session = open_session(&d, 1);
         session.push_round(0, &[0], &[1]);
         session.push_round(1, &[1], &[1]);
         assert_eq!(session.windows_committed(), 0);
@@ -1764,14 +1544,14 @@ mod tests {
     #[should_panic(expected = "pushed in order")]
     fn out_of_order_round_panics() {
         let d = windowed(4, WindowConfig::new(2));
-        d.session(1).push_round(1, &[], &[]);
+        open_session(&d, 1).push_round(1, &[], &[]);
     }
 
     #[test]
     #[should_panic(expected = "stream ended early")]
     fn early_finish_panics() {
         let d = windowed(4, WindowConfig::new(2));
-        let mut session = d.session(1);
+        let mut session = open_session(&d, 1);
         session.push_round(0, &[0], &[0]);
         session.finish();
     }
@@ -1880,9 +1660,9 @@ mod tests {
     }
 
     #[test]
-    fn owned_session_matches_borrowed_and_outlives_its_scope() {
+    fn session_outlives_its_scope_and_crosses_threads() {
         let rounds = 8usize;
-        let decoder = Arc::new(windowed(rounds, WindowConfig::new(4)));
+        let decoder = windowed(rounds, WindowConfig::new(4));
         // Lane 0 carries the syndrome {1, 2}; lane 1 the syndrome {0}.
         let word_of = |t: usize| -> u64 {
             let mut w = 0u64;
@@ -1895,26 +1675,19 @@ mod tests {
             w
         };
 
-        let mut owned = {
-            // The borrowing `session()` could not escape this block; the
-            // owned one can, and keeps the decoder alive through its Arc.
+        let mut session = {
+            // The session escapes this block and keeps the decoder alive
+            // through its Arc.
             let handle = Arc::clone(&decoder);
             handle.into_session(2)
         };
-        let mut borrowed = decoder.session(2);
         for t in 0..rounds {
-            let (det, words) = ([t as u32], [word_of(t)]);
-            owned.push_round(t as u32, &det, &words);
-            borrowed.push_round(t as u32, &det, &words);
-            assert_eq!(owned.windows_committed(), borrowed.windows_committed());
-            assert_eq!(owned.observables(), borrowed.observables());
+            session.push_round(t as u32, &[t as u32], &[word_of(t)]);
         }
-        assert_eq!(owned.filled_rounds(), rounds as u32);
+        assert_eq!(session.filled_rounds(), rounds as u32);
 
-        // Owned sessions are Send: finish on another thread.
-        let expect = borrowed.finish();
-        let got = std::thread::spawn(move || owned.finish()).join().unwrap();
-        assert_eq!(got, expect);
+        // Sessions are Send: finish on another thread.
+        let got = std::thread::spawn(move || session.finish()).join().unwrap();
         assert_eq!(got, vec![0, decode(&decoder, &[0])]);
     }
 
@@ -1950,95 +1723,68 @@ mod tests {
     }
 
     #[test]
-    fn sparse_decodes_bit_identically_to_eager() {
-        // The lazy window-plan path must reproduce the eager decoder's
-        // node order, edge order, and carry tables exactly — decode
-        // results agree bit for bit across window shapes and syndromes.
-        for rounds in [5usize, 8, 12] {
-            for window in 1..=6u32 {
-                let eager = windowed(rounds, WindowConfig::new(window));
-                let sparse = windowed_sparse(rounds, WindowConfig::new(window));
-                assert!(sparse.is_sparse() && !eager.is_sparse());
-                let last = rounds - 1;
-                for s in [
-                    vec![],
-                    vec![0],
-                    vec![last],
-                    vec![1, 2],
-                    vec![0, last],
-                    vec![2, 3, last - 1],
-                ] {
-                    assert_eq!(
-                        decode(&sparse, &s),
-                        decode(&eager, &s),
-                        "rounds={rounds} w={window} {s:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn structurally_identical_windows_share_one_backend() {
         // A long uniform time strip has three distinct window shapes: the
         // first (initial boundary + observable), the steady-state
-        // interior, and the final (cut = MAX, end boundary). 14 windows
-        // must compile far fewer backends than the eager path's
-        // one-per-window.
-        let d = windowed_sparse(30, WindowConfig::new(4));
+        // interior, and the final (cut = MAX, end boundary). All 14
+        // windows resolve at construction yet compile only a few backends.
+        let d = windowed(30, WindowConfig::new(4));
         assert_eq!(d.num_windows(), 14);
-        assert_eq!(d.compiled_backends(), 0, "plans are lazy");
-        // Touch every window via a full-history decode.
-        assert_eq!(decode(&d, &[7, 8]), 0);
+        assert_eq!(d.plan_builds(), 14, "every window resolves at construction");
         assert!(
             d.compiled_backends() <= 4,
             "expected ≤ 4 distinct window graphs, got {}",
             d.compiled_backends()
         );
-        // The eager twin really pays one backend per window.
-        assert_eq!(windowed(30, WindowConfig::new(4)).compiled_backends(), 14);
+        assert_eq!(decode(&d, &[7, 8]), 0);
+        assert_eq!(d.plan_builds(), 14, "decoding resolves nothing new");
     }
 
     #[test]
     fn advance_silent_matches_empty_pushes() {
         let rounds = 20usize;
-        for sparse in [false, true] {
-            let cfg = WindowConfig::new(4);
-            let d = if sparse {
-                windowed_sparse(rounds, cfg)
-            } else {
-                windowed(rounds, cfg)
-            };
-            let mut bulk = d.session(2);
-            let mut dense = d.session(2);
-            // A defect pair mid-stream, silence elsewhere.
-            for t in 0..rounds as u32 {
-                let word = if t == 9 || t == 10 { 0b01 } else { 0 };
-                dense.push_round(t, &[t], &[word]);
-            }
-            bulk.advance_silent(9);
-            bulk.push_round(9, &[9], &[0b01]);
-            bulk.push_round(10, &[10], &[0b01]);
-            bulk.advance_silent(rounds as u32 - 11);
-            assert_eq!(bulk.windows_committed(), dense.windows_committed());
-            assert_eq!(bulk.finish(), dense.finish(), "sparse={sparse}");
+        let d = windowed(rounds, WindowConfig::new(4));
+        let mut bulk = open_session(&d, 2);
+        let mut dense = open_session(&d, 2);
+        // A defect pair mid-stream, silence elsewhere.
+        for t in 0..rounds as u32 {
+            let word = if t == 9 || t == 10 { 0b01 } else { 0 };
+            dense.push_round(t, &[t], &[word]);
         }
+        bulk.advance_silent(9);
+        bulk.push_round(9, &[9], &[0b01]);
+        bulk.push_round(10, &[10], &[0b01]);
+        bulk.advance_silent(rounds as u32 - 11);
+        assert_eq!(bulk.windows_committed(), dense.windows_committed());
+        assert_eq!(bulk.finish(), dense.finish());
     }
 
     #[test]
     fn fast_forward_skips_clean_windows_exactly() {
-        // Defects confined to one window of a long stream: the sparse
-        // session must decode only the windows overlapping the event (and
-        // any carries) yet agree with the eager decode bit for bit.
+        // Defects confined to one window of a long stream: the session
+        // decodes only the windows overlapping the event (and any
+        // carries), fast-forwards the rest, and still agrees with the
+        // inner decoder over the whole strip.
         let rounds = 40usize;
-        let eager = windowed(rounds, WindowConfig::new(4));
-        let sparse = windowed_sparse(rounds, WindowConfig::new(4));
+        let d = windowed(rounds, WindowConfig::new(4));
+        let full = MwpmDecoder::new(time_strip(rounds).0);
         for pair_at in [0u32, 13, 21, 38] {
             let s = vec![pair_at as usize, pair_at as usize + 1];
-            assert_eq!(decode(&sparse, &s), decode(&eager, &s), "pair at {pair_at}");
+            assert_eq!(decode(&d, &s), full.decode(&s), "pair at {pair_at}");
+            let mut session = open_session(&d, 1);
+            session.advance_silent(pair_at);
+            session.push_round(pair_at, &[pair_at], &[1]);
+            session.push_round(pair_at + 1, &[pair_at + 1], &[1]);
+            session.advance_silent(rounds as u32 - pair_at - 2);
+            assert!(
+                session.windows_decoded() <= 4 && session.windows_fast_forwarded() > 0,
+                "pair at {pair_at}: {} decoded, {} skipped",
+                session.windows_decoded(),
+                session.windows_fast_forwarded()
+            );
+            assert_eq!(session.finish(), vec![full.decode(&s)]);
         }
-        // Only the windows near the last touched rounds compiled a plan.
-        assert!(sparse.compiled_backends() <= 4);
+        assert!(d.compiled_backends() <= 4);
     }
 
     #[test]
@@ -2048,8 +1794,8 @@ mod tests {
         // so fast-forwarding must not skip the follow-up window that
         // consumes the carry.
         let rounds = 32usize;
-        let d = windowed_sparse(rounds, WindowConfig::new(2).with_commit(1));
-        let mut session = d.session(1);
+        let d = windowed(rounds, WindowConfig::new(2).with_commit(1));
+        let mut session = open_session(&d, 1);
         session.advance_silent(20);
         // Pair split exactly across the commit cut of window [20, 22).
         session.push_round(20, &[20], &[1]);
@@ -2061,22 +1807,22 @@ mod tests {
             "pair must cancel through the carry"
         );
         // Same but the defect-free twin: everything skips, no flip.
-        let mut quiet = d.session(1);
+        let mut quiet = open_session(&d, 1);
         quiet.advance_silent(rounds as u32);
         assert_eq!(quiet.windows_committed(), d.num_windows());
         assert_eq!(quiet.finish(), vec![0]);
     }
 
     #[test]
-    fn committed_plans_are_evicted_on_long_sparse_streams() {
-        // A 10⁵-round sparse stream with a defect pair every ~1000 rounds
-        // resolves a handful of plans per event; once the session's commit
-        // frontier passes a window its plan is evicted, so the resolved
-        // table must stay O(in-flight windows), never O(windows).
+    fn long_streams_resolve_each_plan_once() {
+        // A 10⁵-round stream with a defect pair every ~1000 rounds: every
+        // window resolved at construction, so streaming never assembles
+        // a plan, and structural sharing keeps the backends to a handful.
         let rounds = 100_000u32;
-        let d = windowed_sparse(rounds as usize, WindowConfig::new(4));
-        let mut session = d.session(1);
-        let mut max_live = 0usize;
+        let d = windowed(rounds as usize, WindowConfig::new(4));
+        let builds = d.plan_builds();
+        assert_eq!(builds, d.num_windows() as u64);
+        let mut session = open_session(&d, 1);
         let mut t = 0u32;
         let mut next_event = 500u32;
         while t < rounds {
@@ -2094,14 +1840,9 @@ mod tests {
                 session.advance_silent(stop - t);
                 t = stop;
             }
-            max_live = max_live.max(d.live_plans());
+            assert_eq!(d.plan_builds(), builds, "streaming assembled a plan");
         }
-        assert!(max_live <= 8, "resolved-plan table grew to {max_live}");
-        // The events did force plan resolution (canonical backends exist,
-        // and structural sharing is untouched by eviction) ...
         assert!((1..=4).contains(&d.compiled_backends()));
-        // ... yet every committed plan has been dropped again.
-        assert_eq!(d.live_plans(), 0, "committed plans must be evicted");
         assert_eq!(session.finish(), vec![0], "each pair cancels locally");
     }
 
@@ -2109,6 +1850,6 @@ mod tests {
     #[should_panic(expected = "past the stream end")]
     fn advance_silent_past_the_end_panics() {
         let d = windowed(4, WindowConfig::new(2));
-        d.session(1).advance_silent(5);
+        open_session(&d, 1).advance_silent(5);
     }
 }

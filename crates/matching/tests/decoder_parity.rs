@@ -158,6 +158,15 @@ proptest! {
         ];
         let mut workspace = DecodeWorkspace::default();
         for decoder in &decoders {
+            // Forced input: the empty syndrome decodes to nothing — the
+            // premise of every session's clean-window fast-forward.
+            workspace.correction.clear();
+            prop_assert_eq!(decoder.decode_correction(&[], &mut workspace), 0);
+            prop_assert!(
+                workspace.correction.is_empty(),
+                "empty syndrome produced correction {:?}",
+                &workspace.correction
+            );
             workspace.correction.clear();
             let mask = decoder.decode_correction(&syndrome, &mut workspace);
             prop_assert_eq!(mask, decoder.decode(&syndrome));

@@ -10,17 +10,17 @@
 //! matching instance, blossom tables) and the union-find peeling forest,
 //! and every buffer is reset by clearing, never by reallocating.
 //!
-//! The decoders are built *eager* on purpose: sparse decoders resolve
-//! window plans lazily, and a first-time plan resolution legitimately
-//! allocates (that is the memory/latency trade sparse mode makes; the
-//! plans are evicted again once committed). Eager decoders resolve
-//! everything at construction, so their push path must be exactly zero.
+//! A decoder over a materialised graph resolves every window plan at
+//! construction (a plan resolution legitimately allocates), and resolved
+//! plans are never evicted, so the push path must be exactly zero — for
+//! decoded and fast-forwarded windows alike.
 //!
 //! Both backends run inside one `#[test]` — the counter is global, so
 //! concurrent tests in the same binary would pollute each other's deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use surf_matching::{
     DecoderFactory, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig, WindowedDecoder,
@@ -87,7 +87,7 @@ const CHAINS: usize = 3;
 /// `4` of every 10-round period) on the first two chains, two lanes with
 /// different masks — enough to exercise multi-defect matching, boundary
 /// competition, and cross-cut carries at every window phase.
-fn push_pattern(session: &mut WindowedSession<'_>, t: u32) {
+fn push_pattern(session: &mut WindowedSession, t: u32) {
     let base = t * CHAINS as u32;
     if matches!(t % 10, 3 | 4) {
         session.push_round(t, &[base, base + 1], &[0b11, 0b01]);
@@ -99,7 +99,7 @@ fn push_pattern(session: &mut WindowedSession<'_>, t: u32) {
 fn assert_steady_state_is_allocation_free(factory: DecoderFactory, label: &str) {
     let (g, rounds_of) = strip(ROUNDS as usize, CHAINS);
     let decoder = WindowedDecoder::new(g, rounds_of, WindowConfig::new(8).with_commit(4), factory);
-    let mut session = decoder.session(2);
+    let mut session = Arc::new(decoder).into_session(2);
     // Warm-up: every arena (lane buffer, backend scratch, blossom tables,
     // window sub-batch) grows to its high-water mark. The pattern period
     // (10) and the commit stride (4) realign every 20 rounds, so 100

@@ -88,8 +88,9 @@ pub struct SessionSpec {
     pub decoder: u8,
     /// Decoder prior: 0 = informed, 1 = nominal.
     pub prior: u8,
-    /// 1 = sparse event-driven streaming (lazily compiled window plans,
-    /// syndrome-silent windows fast-forwarded); 0 = dense. Results are
+    /// 1 = sparse: compile the periodic template when the horizon
+    /// proves periodic (O(epochs + window) model memory); 0 = dense
+    /// (monolithic model). Both share one decoder design, so results are
     /// bit-identical either way.
     pub sparse: u8,
     /// Per-round data-qubit depolarizing probability.

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use surf_defects::{DefectEpisode, DefectEvent, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::Basis;
-use surf_matching::{OwnedWindowedSession, RoundModelSource, WindowConfig, WindowedDecoder};
+use surf_matching::{RoundModelSource, WindowConfig, WindowedDecoder, WindowedSession};
 
 use crate::memory::DecoderKind;
 use crate::model::DecoderPrior;
@@ -75,16 +75,15 @@ pub struct SessionConfig {
     /// Defect episodes known at compile time (more can be
     /// [injected](DecodeSession::inject_event) mid-stream).
     pub schedule: DefectSchedule,
-    /// Compile the windowed decoder in sparse mode: window plans resolve
-    /// lazily (structurally identical windows share one backend) and
-    /// sessions fast-forward through defect-free windows — exact, and
-    /// required for 10⁵+ round horizons where eager per-window compilation
-    /// dominates. When the horizon is additionally long enough to prove
-    /// periodic, sparse sessions compile a [`PeriodicModel`] template and
-    /// a round-indexed virtual decoder instead of the monolithic model,
+    /// Try the periodic template: when the horizon is long enough to
+    /// prove periodic, sparse sessions compile a [`PeriodicModel`] and a
+    /// round-indexed virtual decoder instead of the monolithic model,
     /// making resident model memory O(epochs + window) instead of
-    /// O(rounds) — outputs stay bit-identical either way. Dense mode
-    /// keeps the eager decoder bit for bit.
+    /// O(rounds). Monte-Carlo runs of a sparse config sample the event
+    /// stream ([`SparseRoundStream`](crate::SparseRoundStream)) instead
+    /// of every round. The decoder is the same either way — plans shared
+    /// across identical windows, clean windows fast-forwarded — so
+    /// outputs are bit-identical in both modes.
     pub sparse: bool,
 }
 
@@ -266,18 +265,12 @@ impl std::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 /// The compiled detector model behind a session family: either the
-/// monolithic whole-horizon [`TimelineModel`] with its O(rounds) round
-/// tables, or a horizon-compressed [`PeriodicModel`] template served by
-/// index arithmetic — O(epochs) resident regardless of the horizon.
+/// monolithic whole-horizon [`TimelineModel`] (its round tables live in
+/// the decoder's round-major index), or a horizon-compressed
+/// [`PeriodicModel`] template served by index arithmetic — O(epochs)
+/// resident regardless of the horizon.
 enum SessionModel {
-    Mono {
-        tm: Box<TimelineModel>,
-        /// Detector ids sorted by round (ascending ids within a round —
-        /// the same canonical order [`RoundStream`] emits).
-        order: Vec<u32>,
-        /// Round `r` owns `order[round_start[r]..round_start[r + 1]]`.
-        round_start: Vec<usize>,
-    },
+    Mono(Box<TimelineModel>),
     Periodic(Arc<PeriodicModel>),
 }
 
@@ -331,44 +324,17 @@ impl SessionShared {
             &config.schedule,
             config.prior,
         );
-        let build = if config.sparse {
-            WindowedDecoder::from_epochs_sparse
-        } else {
-            WindowedDecoder::from_epochs
-        };
-        let decoder = Arc::new(build(
+        let decoder = Arc::new(WindowedDecoder::from_epochs(
             tm.model.num_detectors,
             &tm.graph_epochs(),
             config.window,
             config.decoder.factory(),
         ));
-        let total_rounds = tm
-            .model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        let mut order: Vec<u32> = (0..tm.model.num_detectors as u32).collect();
-        order.sort_by_key(|&d| tm.model.detector_rounds[d as usize]);
-        let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-        round_start.push(0usize);
-        for r in 0..total_rounds {
-            let prev = *round_start.last().unwrap();
-            let len = order[prev..]
-                .iter()
-                .take_while(|&&d| tm.model.detector_rounds[d as usize] == r)
-                .count();
-            round_start.push(prev + len);
-        }
+        let total_rounds = decoder.total_rounds();
         let epoch_starts = tm.epoch_starts.clone();
         SessionShared {
             config,
-            model: SessionModel::Mono {
-                tm: Box::new(tm),
-                order,
-                round_start,
-            },
+            model: SessionModel::Mono(Box::new(tm)),
             decoder,
             total_rounds,
             epoch_starts,
@@ -377,12 +343,7 @@ impl SessionShared {
 
     fn detectors_of(&self, round: u32) -> Cow<'_, [u32]> {
         match &self.model {
-            SessionModel::Mono {
-                order, round_start, ..
-            } => {
-                let span = round_start[round as usize]..round_start[round as usize + 1];
-                Cow::Borrowed(&order[span])
-            }
+            SessionModel::Mono(_) => Cow::Borrowed(self.decoder.round_detectors(round)),
             SessionModel::Periodic(_) => {
                 let mut out = Vec::new();
                 self.round_detectors(round, &mut out);
@@ -391,14 +352,12 @@ impl SessionShared {
         }
     }
 
-    /// `round`'s detector ids: borrowed from the precomputed tables on the
-    /// monolithic path, written into `scratch` on the periodic path — so
-    /// a caller reusing one scratch buffer allocates nothing per round.
+    /// `round`'s detector ids: borrowed from the decoder's round index on
+    /// the monolithic path, written into `scratch` on the periodic path —
+    /// so a caller reusing one scratch buffer allocates nothing per round.
     fn round_detectors<'a>(&'a self, round: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
         match &self.model {
-            SessionModel::Mono {
-                order, round_start, ..
-            } => &order[round_start[round as usize]..round_start[round as usize + 1]],
+            SessionModel::Mono(_) => self.decoder.round_detectors(round),
             SessionModel::Periodic(pm) => {
                 scratch.clear();
                 RoundModelSource::detectors_in(&**pm, round..round + 1, scratch);
@@ -411,16 +370,14 @@ impl SessionShared {
     /// model paths.
     fn detector_count_of(&self, round: u32) -> usize {
         match &self.model {
-            SessionModel::Mono { round_start, .. } => {
-                round_start[round as usize + 1] - round_start[round as usize]
-            }
+            SessionModel::Mono(_) => self.decoder.round_detectors(round).len(),
             SessionModel::Periodic(pm) => pm.detector_count_in_round(round),
         }
     }
 
     fn num_detectors(&self) -> usize {
         match &self.model {
-            SessionModel::Mono { tm, .. } => tm.model.num_detectors,
+            SessionModel::Mono(tm) => tm.model.num_detectors,
             SessionModel::Periodic(pm) => pm.num_detectors(),
         }
     }
@@ -429,7 +386,7 @@ impl SessionShared {
     /// [`num_detectors`](Self::num_detectors).
     fn detector_round(&self, det: u32) -> u32 {
         match &self.model {
-            SessionModel::Mono { tm, .. } => tm.model.detector_rounds[det as usize],
+            SessionModel::Mono(tm) => tm.model.detector_rounds[det as usize],
             SessionModel::Periodic(pm) => RoundModelSource::detector_round(&**pm, det),
         }
     }
@@ -487,7 +444,7 @@ enum RoundRecord {
 /// contract and [`SessionConfig`] for construction.
 pub struct DecodeSession {
     shared: Arc<SessionShared>,
-    inner: OwnedWindowedSession,
+    inner: WindowedSession,
     /// Pushed rounds, kept for replay on
     /// [`inject_event`](Self::inject_event)/[`replan`](Self::replan).
     history: Vec<RoundRecord>,
@@ -598,7 +555,7 @@ impl DecodeSession {
     /// [`push_round`](Self::push_round) expects.
     pub fn round_stream(&self) -> RoundStream {
         match &self.shared.model {
-            SessionModel::Mono { tm, .. } => RoundStream::for_timeline(tm),
+            SessionModel::Mono(tm) => RoundStream::for_timeline(tm),
             SessionModel::Periodic(pm) => RoundStream::for_periodic(pm),
         }
     }
@@ -610,7 +567,7 @@ impl DecodeSession {
     /// [`advance_silent`](Self::advance_silent).
     pub fn sparse_round_stream(&self) -> crate::stream::SparseRoundStream {
         match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::SparseRoundStream::for_timeline(tm),
+            SessionModel::Mono(tm) => crate::stream::SparseRoundStream::for_timeline(tm),
             SessionModel::Periodic(pm) => {
                 crate::stream::SparseRoundStream::for_periodic(Arc::clone(pm))
             }
@@ -624,7 +581,7 @@ impl DecodeSession {
     /// [`push_round`](Self::push_round).
     pub fn wide_round_stream<const N: usize>(&self) -> crate::stream::WideRoundStream<N> {
         match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::WideRoundStream::for_timeline(tm),
+            SessionModel::Mono(tm) => crate::stream::WideRoundStream::for_timeline(tm),
             SessionModel::Periodic(pm) => crate::stream::WideRoundStream::for_periodic(pm),
         }
     }
@@ -638,7 +595,7 @@ impl DecodeSession {
         &self,
     ) -> crate::stream::WideSparseRoundStream<N> {
         match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::WideSparseRoundStream::for_timeline(tm),
+            SessionModel::Mono(tm) => crate::stream::WideSparseRoundStream::for_timeline(tm),
             SessionModel::Periodic(pm) => {
                 crate::stream::WideSparseRoundStream::for_periodic(Arc::clone(pm))
             }
@@ -719,10 +676,10 @@ impl DecodeSession {
     }
 
     /// Feeds up to `rounds` consecutive defect-free rounds in one call —
-    /// the bulk twin of pushing that many all-zero rounds. With a
-    /// [sparse](SessionConfig::sparse) session, windows that complete
-    /// inside the stretch and saw no defect commit without invoking the
-    /// decoder backend, so skipping costs O(windows), not O(rounds).
+    /// the bulk twin of pushing that many all-zero rounds. Windows that
+    /// complete inside the stretch and saw no defect commit without
+    /// invoking the decoder backend, so skipping costs O(windows), not
+    /// O(rounds).
     ///
     /// The advance clamps at the next geometry-epoch boundary (so every
     /// [`DeformationNotice`] still fires) and at the stream end; the

@@ -7,7 +7,9 @@
 //! [`RoundStream`] bridges the two: it samples one 64-lane batch through
 //! the model's [`BatchSampler`] and then replays it round by round, in
 //! exactly the order a hardware syndrome link would deliver it, feeding
-//! `surf_matching::WindowedSession::push_round` (or any other consumer).
+//! a windowed decoder session's `push_round`
+//! (`surf_matching::WindowedSession`, `DecodeSession`) or any other
+//! consumer.
 //!
 //! The stream draws the identical RNG sequence as the plain batch path,
 //! so a streamed experiment is bit-for-bit reproducible against
@@ -259,9 +261,9 @@ impl RoundStream {
 /// bit) and replays only the rounds that actually fired, in ascending
 /// round order, as [`RoundSlice`] *events*. Syndrome-silent rounds — the
 /// overwhelming majority at physical error rates — are skipped entirely;
-/// the consumer bridges the gaps with
-/// `surf_matching::WindowedSession::advance_silent` (or
-/// `DecodeSession::advance_silent`), making a batch cost O(firings)
+/// the consumer bridges the gaps with a session's `advance_silent`
+/// (`surf_matching::WindowedSession`, `DecodeSession`), where clean
+/// windows fast-forward, making a batch cost O(firings)
 /// instead of O(rounds · detectors).
 ///
 /// # Example

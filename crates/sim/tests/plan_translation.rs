@@ -23,7 +23,9 @@ use surf_defects::{DefectEpisode, DefectMap, DefectSchedule};
 use surf_deformer_core::{Deformer, EnlargeBudget, PatchTimeline};
 use surf_lattice::{Basis, Coord, Patch};
 use surf_matching::{RoundModelSource, WindowConfig, WindowParts, WindowedDecoder};
-use surf_sim::{DecoderKind, DecoderPrior, NoiseParams, PeriodicModel, SessionConfig};
+use surf_sim::{
+    DecodeSession, DecoderKind, DecoderPrior, NoiseParams, PeriodicModel, SessionConfig,
+};
 
 /// `base` until round `at`, then `base` with the centre-corner data qubit
 /// removed.
@@ -139,21 +141,25 @@ fn translated_plans_equal_direct_assembly_at_every_window() {
     }
 }
 
-/// Drives a 64-lane virtual session over `rounds` rounds of sampled
-/// p = 1e-4 syndromes (event feed, silent gaps skipped) and returns
-/// `(plan builds, windows decoded, windows fast-forwarded, windows)`.
-fn low_noise_session(rounds: u32, lanes: usize) -> (u64, u64, u64, usize) {
+/// A d = 5 session config over `rounds` rounds at p = 1e-4, window 10.
+fn low_noise_config(rounds: u32, sparse: bool) -> SessionConfig {
     let mut config = SessionConfig::new(
         PatchTimeline::fixed(Patch::rotated(5), DefectMap::new()),
         Basis::Z,
         rounds,
     )
     .with_window(WindowConfig::new(10))
-    .with_sparse(true);
+    .with_sparse(sparse);
     config.noise = NoiseParams::uniform(1e-4);
-    let mut session = config.open(lanes);
+    config
+}
+
+/// Feeds `session` one sampled stream (event feed, silent gaps skipped)
+/// to its end.
+fn drive(session: &mut DecodeSession, seed: u64) {
+    let lanes = session.lanes();
     let mut events = session.sparse_round_stream();
-    events.begin(&mut StdRng::seed_from_u64(5), lanes);
+    events.begin(&mut StdRng::seed_from_u64(seed), lanes);
     while let Some(event) = events.next_event() {
         while session.filled_rounds() < event.round {
             session
@@ -169,6 +175,14 @@ fn low_noise_session(rounds: u32, lanes: usize) -> (u64, u64, u64, usize) {
             .advance_silent(session.total_rounds() - session.filled_rounds())
             .unwrap();
     }
+}
+
+/// Drives a 64-lane virtual session over `rounds` rounds of sampled
+/// p = 1e-4 syndromes (event feed, silent gaps skipped) and returns
+/// `(plan builds, windows decoded, windows fast-forwarded, windows)`.
+fn low_noise_session(rounds: u32, lanes: usize) -> (u64, u64, u64, usize) {
+    let mut session = low_noise_config(rounds, true).open(lanes);
+    drive(&mut session, 5);
     let counts = (
         session.plan_builds(),
         session.windows_decoded(),
@@ -204,4 +218,32 @@ fn plan_builds_do_not_grow_with_the_horizon() {
         "{decoded} decoded, {skipped} skipped"
     );
     assert_eq!(decoded + skipped, windows as u64);
+}
+
+#[test]
+fn forks_reuse_resolved_plans() {
+    // Plans are kept once resolved, so a second fork streaming a
+    // different sample over the same compiled session assembles nothing:
+    // boundary plans of a virtual session and the construction-time
+    // plans of a materialised one alike.
+    for sparse in [true, false] {
+        let proto = low_noise_config(2_000, sparse).open(64);
+        let mut fork_a = proto.fork(64);
+        drive(&mut fork_a, 5);
+        let builds = fork_a.plan_builds();
+        assert!(builds > 0, "sparse={sparse}: no plan was ever built");
+        fork_a.finish().unwrap();
+        let mut fork_b = proto.fork(64);
+        drive(&mut fork_b, 6);
+        assert_eq!(
+            fork_b.plan_builds(),
+            builds,
+            "sparse={sparse}: the second fork re-assembled plans"
+        );
+        assert_eq!(
+            fork_b.windows_decoded() + fork_b.windows_fast_forwarded(),
+            fork_b.num_windows() as u64
+        );
+        fork_b.finish().unwrap();
+    }
 }

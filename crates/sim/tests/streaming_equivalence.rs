@@ -204,13 +204,13 @@ fn virtual_session_at_d13_matches_full_decode() {
         let mut reference = Vec::new();
         kind.build(model.graph.clone())
             .decode_batch(&batch, &mut reference);
-        let decoder = WindowedDecoder::virtual_source(
+        let decoder = Arc::new(WindowedDecoder::virtual_source(
             Arc::clone(&source) as Arc<dyn RoundModelSource>,
             WindowConfig::new(2 * d as u32),
             kind.factory(),
-        );
+        ));
         assert!(decoder.is_virtual());
-        let mut session = decoder.session(lanes);
+        let mut session = Arc::clone(&decoder).into_session(lanes);
         let mut detectors = Vec::new();
         for round in 0..decoder.total_rounds() {
             detectors.clear();
