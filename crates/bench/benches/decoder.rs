@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the matching decoders.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use surf_defects::DefectMap;
@@ -22,6 +22,12 @@ fn bench_mwpm_decode(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         // Pre-sample syndromes so the benchmark measures decoding only.
         let syndromes: Vec<Vec<usize>> = (0..64).map(|_| model.sample(&mut rng).0).collect();
+        // One pass fills the pair-table rows these syndromes use, so the
+        // timed decodes read a warm table (`mwpm_decode_cold` times the
+        // fills).
+        for s in &syndromes {
+            decoder.decode(s);
+        }
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
             let mut i = 0;
             b.iter(|| {
@@ -29,6 +35,29 @@ fn bench_mwpm_decode(c: &mut Criterion) {
                 i += 1;
                 std::hint::black_box(decoder.decode(s))
             });
+        });
+    }
+    group.finish();
+}
+
+/// Every batch gets a fresh decoder and decodes `mwpm_decode`'s 64
+/// syndromes once, pair-table fills included.
+fn bench_mwpm_decode_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mwpm_decode_cold");
+    for d in [5usize, 9, 13] {
+        let model = decoding_model(d);
+        let mut rng = StdRng::seed_from_u64(1);
+        let syndromes: Vec<Vec<usize>> = (0..64).map(|_| model.sample(&mut rng).0).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
+            b.iter_batched(
+                || MwpmDecoder::new(model.graph.clone()),
+                |decoder| {
+                    for s in &syndromes {
+                        std::hint::black_box(decoder.decode(s));
+                    }
+                },
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
@@ -72,6 +101,7 @@ fn bench_blossom_complete_graph(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_mwpm_decode,
+    bench_mwpm_decode_cold,
     bench_union_find_decode,
     bench_blossom_complete_graph
 );
