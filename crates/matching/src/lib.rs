@@ -25,6 +25,9 @@
 //!   correction and carries the defects it leaves at the commit cut
 //!   forward, so corrections for old rounds are final while new rounds are
 //!   still being sampled, at any code distance.
+//! * [`DecoderFactory`] — builds window backends through one process-wide
+//!   registry, so every decoder, session and recompile over an equal
+//!   window graph shares one compiled backend ([`backend_stats`]).
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@ mod blossom;
 mod decoder;
 mod graph;
 mod mwpm;
+mod registry;
 mod source;
 mod unionfind;
 mod windowed;
@@ -54,8 +58,7 @@ pub use blossom::{
 pub use decoder::{decode_wide_batch, decode_wide_batch_with, DecodeWorkspace, Decoder};
 pub use graph::{xor_probability, DecodingGraph, Edge};
 pub use mwpm::{MwpmDecoder, MwpmScratch};
+pub use registry::{backend_stats, BackendStats, DecoderFactory};
 pub use source::{RoundModelSource, SourceEdge, WindowTranslation};
 pub use unionfind::{UfScratch, UnionFindDecoder};
-pub use windowed::{
-    DecoderFactory, GraphEpoch, WindowConfig, WindowParts, WindowedDecoder, WindowedSession,
-};
+pub use windowed::{GraphEpoch, WindowConfig, WindowParts, WindowedDecoder, WindowedSession};

@@ -39,6 +39,10 @@ use crate::blossom::{min_weight_perfect_matching_with, BlossomScratch};
 use crate::decoder::{DecodeWorkspace, Decoder};
 use crate::graph::DecodingGraph;
 
+/// Pair-table rows published by every MWPM decoder in the process (see
+/// [`crate::backend_stats`]).
+pub(crate) static PAIR_ROWS_FILLED: AtomicU64 = AtomicU64::new(0);
+
 /// Exact MWPM decoder over a [`DecodingGraph`].
 ///
 /// Each decoder owns a pair table of shortest-path weights that its
@@ -418,6 +422,7 @@ impl MwpmDecoder {
                 .compare_exchange(0, !w, Ordering::Release, Ordering::Relaxed);
         if published.is_ok() {
             table.filled.fetch_add(1, Ordering::Relaxed);
+            PAIR_ROWS_FILLED.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -42,10 +42,14 @@
 //! inner backend over its sub-graph, and its carry table. Every decoder
 //! keeps its plans in one table, keyed by window index and never evicted:
 //!
-//! * **Structural sharing.** Windows whose sub-graphs are identical (the
-//!   steady state between geometry epochs — almost all of a long stream)
-//!   share one backend, so a 10⁵-round stream compiles a handful of
-//!   backends instead of tens of thousands.
+//! * **Backends.** The plan table does not own backend sharing: a plan
+//!   asks its [`DecoderFactory`] for the backend of its sub-graph, and the
+//!   process-wide registry behind it hands out one backend per (factory
+//!   identity, window graph). Identical windows (the steady state between
+//!   geometry epochs — almost all of a long stream) share it, and so do
+//!   other decoders, sessions and recompiles over the same graph while
+//!   any of them is live, so a 10⁵-round stream compiles a handful of
+//!   backends and a second session of one spec compiles none.
 //! * **Resolution.** A decoder over a materialised graph resolves every
 //!   window at construction from a round-major detector index: O(rounds)
 //!   like the model build it follows, and session pushes never assemble
@@ -95,21 +99,19 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use surf_pauli::BitBatch;
 
 use crate::decoder::{DecodeWorkspace, Decoder};
 use crate::graph::DecodingGraph;
+use crate::registry::DecoderFactory;
 use crate::source::{RoundModelSource, SourceEdge, WindowTranslation};
 
 /// Template plans a session keeps locally: a stretch uses one template
 /// per commit phase modulo the period, so a handful covers the windows in
 /// flight.
 const SESSION_TEMPLATES: usize = 4;
-
-/// Factory building the inner decoder backend over each window sub-graph.
-pub type DecoderFactory = Box<dyn Fn(DecodingGraph) -> Box<dyn Decoder> + Send + Sync>;
 
 /// One geometry epoch's share of a spliced decoding graph: a
 /// locally-indexed sub-graph plus the translation of its local detector
@@ -224,31 +226,16 @@ impl std::fmt::Debug for WindowPlan {
     }
 }
 
-/// A decoder's window plans: resolved plans keyed by window index, the
-/// structurally shared backends behind them, and the steady-state
-/// templates of virtual decoders. Nothing is ever evicted.
+/// A decoder's window plans: resolved plans keyed by window index and
+/// the steady-state templates of virtual decoders. Nothing is ever
+/// evicted.
+#[derive(Default)]
 struct PlanTable {
-    factory: DecoderFactory,
     /// Plans resolved so far, keyed by window index.
     resolved: HashMap<usize, Arc<WindowPlan>>,
-    /// Distinct inner decoders built so far, most recently used first;
-    /// a candidate window whose sub-graph equals a canonical
-    /// decoder's graph reuses it instead of compiling a new backend.
-    canon: Vec<Arc<dyn Decoder>>,
     /// Steady-state template plans keyed by canonical start round
     /// (virtual decoders only), built on first touch.
     templates: HashMap<u32, Arc<WindowPlan>>,
-}
-
-impl PlanTable {
-    fn new(factory: DecoderFactory) -> Self {
-        PlanTable {
-            factory,
-            resolved: HashMap::new(),
-            canon: Vec::new(),
-            templates: HashMap::new(),
-        }
-    }
 }
 
 /// One assembled window: detectors in global ids, the window sub-graph,
@@ -283,7 +270,7 @@ pub struct WindowParts {
 /// # Example
 ///
 /// ```
-/// use surf_matching::{DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
+/// use surf_matching::{DecoderFactory, DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
 /// use surf_pauli::BitBatch;
 ///
 /// // Two detectors in consecutive rounds joined by a measurement edge
@@ -296,7 +283,7 @@ pub struct WindowParts {
 ///     g,
 ///     vec![0, 1],
 ///     WindowConfig::new(1),
-///     Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
+///     DecoderFactory::new(|wg| Box::new(MwpmDecoder::new(wg))),
 /// );
 /// // The measurement-error pair is matched across the window cut: the
 /// // first window commits the pair edge and carries the residual defect
@@ -321,9 +308,14 @@ pub struct WindowedDecoder {
     /// One past the largest round label.
     total_rounds: u32,
     config: WindowConfig,
+    /// Builds (through the backend registry) each window's backend.
+    factory: DecoderFactory,
     plans: Mutex<PlanTable>,
     /// Window assemblies so far (see [`plan_builds`](Self::plan_builds)).
     plan_builds: AtomicU64,
+    /// Backends this decoder's requests compiled rather than found live
+    /// in the registry (see [`backends_shared`](Self::backends_shared)).
+    backends_compiled: AtomicU64,
 }
 
 impl WindowedDecoder {
@@ -392,8 +384,10 @@ impl WindowedDecoder {
             source: None,
             total_rounds,
             config,
-            plans: Mutex::new(PlanTable::new(factory)),
+            factory,
+            plans: Mutex::default(),
             plan_builds: AtomicU64::new(0),
+            backends_compiled: AtomicU64::new(0),
         }
     }
 
@@ -491,10 +485,10 @@ impl WindowedDecoder {
         }
     }
 
+    /// The plan table. Only map lookups and inserts run under its lock,
+    /// so a poisoned lock still guards a consistent table.
     fn table(&self) -> MutexGuard<'_, PlanTable> {
-        self.plans
-            .lock()
-            .expect("plan table poisoned: a session panicked while resolving a plan")
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether this decoder serves windows from a [`RoundModelSource`]
@@ -512,11 +506,30 @@ impl WindowedDecoder {
         }
     }
 
-    /// Number of distinct inner decoder backends compiled so far: one per
-    /// *structurally distinct* resolved window. Useful for asserting (and
-    /// benchmarking) plan sharing.
+    /// Distinct backends this decoder's plans reference: one per
+    /// *structurally distinct* resolved window, whether this decoder
+    /// compiled it or found it live in the backend registry. Useful for
+    /// asserting (and benchmarking) plan sharing.
     pub fn compiled_backends(&self) -> usize {
-        self.table().canon.len()
+        let table = self.table();
+        let mut backends: Vec<*const ()> = table
+            .resolved
+            .values()
+            .chain(table.templates.values())
+            .map(|plan| Arc::as_ptr(&plan.decoder).cast::<()>())
+            .collect();
+        backends.sort_unstable();
+        backends.dedup();
+        backends.len()
+    }
+
+    /// Of [`compiled_backends`](Self::compiled_backends), those this
+    /// decoder found already live in the process-wide backend registry —
+    /// compiled for another decoder, session or recompile over the same
+    /// window graph — instead of compiling them.
+    pub fn backends_shared(&self) -> usize {
+        let compiled = self.backends_compiled.load(Ordering::Relaxed) as usize;
+        self.compiled_backends().saturating_sub(compiled)
     }
 
     /// Window assemblies performed so far, across every session of this
@@ -558,25 +571,26 @@ impl WindowedDecoder {
     }
 
     /// Resolves window `index`'s plan: the table entry when resolved,
-    /// else the window is assembled (reusing a structurally identical
-    /// backend) and kept.
+    /// else the window is assembled (over the registry's backend for its
+    /// sub-graph) and kept.
     fn plan(&self, index: usize) -> Arc<WindowPlan> {
         if let Some(plan) = self.table().resolved.get(&index) {
             return Arc::clone(plan);
         }
-        // Assemble outside the lock so sessions resolving other windows
-        // never wait on it; a racing twin assembles the identical plan
-        // and the first insert wins.
+        // Assemble and fetch the backend outside the lock so sessions
+        // resolving other windows never wait on it; a racing twin
+        // assembles the identical plan over the same backend and the
+        // first insert wins.
         let (start, end, cut) = self.window_bounds(index);
         let (globals, window_graph, carries) = self.build_parts(start, end, cut);
+        let decoder = self.backend(window_graph);
         let mut table = self.table();
-        let table = &mut *table;
         if let Some(plan) = table.resolved.get(&index) {
             return Arc::clone(plan);
         }
         let plan = Arc::new(WindowPlan {
             globals,
-            decoder: Self::canon_decoder(&mut table.canon, &table.factory, window_graph),
+            decoder,
             carries,
             strides: Vec::new(),
             carry_strides: Vec::new(),
@@ -589,8 +603,7 @@ impl WindowedDecoder {
     /// translate to `t.canonical_start`. Built on first touch from the
     /// canonical window and its one-period translate — their difference
     /// is each local detector's (and carry target's) stride — then shared
-    /// by every session. The backend is the one
-    /// [`canon_decoder`](Self::canon_decoder) picks for the canonical
+    /// by every session. The backend is the registry's for the canonical
     /// window graph, i.e. the one a direct assembly would have shared.
     ///
     /// # Panics
@@ -629,20 +642,27 @@ impl WindowedDecoder {
             .zip(&next_carries)
             .map(|(&a, &b)| if a == NO_CARRY { 0 } else { stride(a, b) })
             .collect();
+        let decoder = self.backend(window_graph);
         let mut table = self.table();
-        let table = &mut *table;
         if let Some(plan) = table.templates.get(&s0) {
             return Arc::clone(plan);
         }
         let plan = Arc::new(WindowPlan {
             globals,
-            decoder: Self::canon_decoder(&mut table.canon, &table.factory, window_graph),
+            decoder,
             carries,
             strides,
             carry_strides,
         });
         table.templates.insert(s0, Arc::clone(&plan));
         plan
+    }
+
+    /// The backend window `index`'s directly resolved plan decodes
+    /// through: the sharing surface for backend-registry tests.
+    #[doc(hidden)]
+    pub fn window_backend(&self, index: usize) -> Arc<dyn Decoder> {
+        Arc::clone(&self.plan(index).decoder)
     }
 
     /// Window `index` assembled directly, and — when the model source
@@ -672,30 +692,15 @@ impl WindowedDecoder {
         (direct, translated)
     }
 
-    /// Finds (or compiles) the canonical shared backend for a window
-    /// sub-graph — the structural-sharing core of the plan table.
-    fn canon_decoder(
-        canon: &mut Vec<Arc<dyn Decoder>>,
-        factory: &DecoderFactory,
-        window_graph: DecodingGraph,
-    ) -> Arc<dyn Decoder> {
-        match canon.iter().position(|c| {
-            c.graph().num_nodes() == window_graph.num_nodes()
-                && c.graph().edges() == window_graph.edges()
-        }) {
-            Some(i) => {
-                // Move the hit to the front: neighbouring windows
-                // overwhelmingly share the steady-state graph.
-                let decoder = canon.remove(i);
-                canon.insert(0, Arc::clone(&decoder));
-                decoder
-            }
-            None => {
-                let decoder: Arc<dyn Decoder> = Arc::from(factory(window_graph));
-                canon.insert(0, Arc::clone(&decoder));
-                decoder
-            }
+    /// The shared backend for a window sub-graph, from the process-wide
+    /// registry, counting it in [`backends_shared`](Self::backends_shared)
+    /// unless this request compiled it.
+    fn backend(&self, window_graph: DecodingGraph) -> Arc<dyn Decoder> {
+        let (decoder, compiled) = self.factory.backend(window_graph);
+        if compiled {
+            self.backends_compiled.fetch_add(1, Ordering::Relaxed);
         }
+        decoder
     }
 
     /// Assembles the window over `[start, end)` committing below `cut`
@@ -1362,7 +1367,7 @@ mod tests {
     use crate::MwpmDecoder;
 
     fn mwpm_factory() -> DecoderFactory {
-        Box::new(|g| Box::new(MwpmDecoder::new(g)))
+        DecoderFactory::new(|g| Box::new(MwpmDecoder::new(g)))
     }
 
     /// Whole-history decode of one syndrome (duplicates cancel pairwise).

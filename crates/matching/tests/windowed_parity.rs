@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surf_matching::{
-    Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig, WindowedDecoder,
+    Decoder, DecoderFactory, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig,
+    WindowedDecoder,
 };
 use surf_pauli::BitBatch;
 
@@ -34,15 +35,15 @@ enum Backend {
 }
 
 impl Backend {
-    fn factory(self) -> surf_matching::DecoderFactory {
+    fn factory(self) -> DecoderFactory {
         match self {
-            Backend::Mwpm => Box::new(|g| Box::new(MwpmDecoder::new(g))),
-            Backend::UnionFind => Box::new(|g| Box::new(UnionFindDecoder::new(g))),
+            Backend::Mwpm => DecoderFactory::new(|g| Box::new(MwpmDecoder::new(g))),
+            Backend::UnionFind => DecoderFactory::new(|g| Box::new(UnionFindDecoder::new(g))),
         }
     }
 
     fn build(self, g: DecodingGraph) -> Box<dyn Decoder> {
-        self.factory()(g)
+        self.factory().build(g)
     }
 }
 
@@ -223,7 +224,7 @@ fn multiple_observable_bits_survive_windowing() {
         g.clone(),
         rounds_of,
         WindowConfig::new(6).with_commit(2),
-        Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
+        DecoderFactory::new(|wg| Box::new(MwpmDecoder::new(wg))),
     );
     // Sampled noise: both observable bits stream bit-identically.
     let mut batch = BitBatch::zeros(rounds * 2);

@@ -125,9 +125,12 @@ fn assert_steady_state_is_allocation_free(factory: DecoderFactory, label: &str) 
 
 #[test]
 fn steady_state_push_round_never_allocates() {
-    assert_steady_state_is_allocation_free(Box::new(|g| Box::new(MwpmDecoder::new(g))), "mwpm");
     assert_steady_state_is_allocation_free(
-        Box::new(|g| Box::new(UnionFindDecoder::new(g))),
+        DecoderFactory::new(|g| Box::new(MwpmDecoder::new(g))),
+        "mwpm",
+    );
+    assert_steady_state_is_allocation_free(
+        DecoderFactory::new(|g| Box::new(UnionFindDecoder::new(g))),
         "union-find",
     );
 }

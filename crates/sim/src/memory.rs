@@ -6,6 +6,8 @@
 //! are simulated independently; the reported per-round logical error rate
 //! is their sum (either basis failing fails the computation).
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,8 +15,8 @@ use surf_defects::{DefectEvent, DefectMap, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Patch};
 use surf_matching::{
-    decode_wide_batch_with, DecodeWorkspace, Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder,
-    WindowConfig,
+    decode_wide_batch_with, DecodeWorkspace, Decoder, DecoderFactory, DecodingGraph, MwpmDecoder,
+    UnionFindDecoder, WindowConfig,
 };
 use surf_pauli::{BitBatch, WideBatch};
 
@@ -44,9 +46,18 @@ impl DecoderKind {
 
     /// The same dispatch as a reusable factory, in the shape
     /// [`surf_matching::WindowedDecoder`] consumes to build its per-window
-    /// backends.
-    pub fn factory(self) -> surf_matching::DecoderFactory {
-        Box::new(move |graph| self.build(graph))
+    /// backends. Every call returns a clone of one per-kind factory, so
+    /// all windowed decoders of a kind in the process share one backend
+    /// per window graph (and MWPM and union-find never share).
+    pub fn factory(self) -> DecoderFactory {
+        static MWPM: OnceLock<DecoderFactory> = OnceLock::new();
+        static UNION_FIND: OnceLock<DecoderFactory> = OnceLock::new();
+        let kind = match self {
+            DecoderKind::Mwpm => &MWPM,
+            DecoderKind::UnionFind => &UNION_FIND,
+        };
+        kind.get_or_init(|| DecoderFactory::new(move |graph| self.build(graph)))
+            .clone()
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use surf_defects::{DefectEpisode, DefectEvent, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::Basis;
-use surf_matching::{RoundModelSource, WindowConfig, WindowedDecoder, WindowedSession};
+use surf_matching::{Decoder, RoundModelSource, WindowConfig, WindowedDecoder, WindowedSession};
 
 use crate::memory::DecoderKind;
 use crate::model::DecoderPrior;
@@ -522,6 +522,28 @@ impl DecodeSession {
     /// shares with its forks (see [`WindowedDecoder::plan_builds`]).
     pub fn plan_builds(&self) -> u64 {
         self.shared.decoder.plan_builds()
+    }
+
+    /// The backend window `index` decodes through (see
+    /// [`WindowedDecoder::window_backend`]).
+    #[doc(hidden)]
+    pub fn window_backend(&self, index: usize) -> Arc<dyn Decoder> {
+        self.shared.decoder.window_backend(index)
+    }
+
+    /// Distinct window backends the decoder this session shares with its
+    /// forks references (see [`WindowedDecoder::compiled_backends`]).
+    pub fn compiled_backends(&self) -> usize {
+        self.shared.decoder.compiled_backends()
+    }
+
+    /// Of [`compiled_backends`](Self::compiled_backends), those found
+    /// live in the process-wide backend registry — compiled for another
+    /// session, an earlier compile of this one, or another experiment
+    /// over the same window graph — rather than compiled anew (see
+    /// [`WindowedDecoder::backends_shared`]).
+    pub fn backends_shared(&self) -> usize {
+        self.shared.decoder.backends_shared()
     }
 
     /// Detector ids of `round`, in the canonical push order (ascending;

@@ -37,7 +37,7 @@ impl Decoder for Shared {
 
 /// An MWPM factory that records every backend it compiles.
 fn recording_factory(backends: Arc<Mutex<Vec<Arc<MwpmDecoder>>>>) -> DecoderFactory {
-    Box::new(move |g| {
+    DecoderFactory::new(move |g| {
         let decoder = Arc::new(MwpmDecoder::new(g));
         backends.lock().unwrap().push(Arc::clone(&decoder));
         Box::new(Shared(decoder))
