@@ -89,7 +89,8 @@ pub fn cli_shard() -> Shard {
                     eprintln!(
                         "[shard {shard}] running batches {} mod {}; failure counts \
                          merge by summation across shards",
-                        shard.index, shard.count
+                        shard.index(),
+                        shard.count()
                     );
                     shard
                 }
@@ -108,7 +109,7 @@ pub fn cli_shard() -> Shard {
 pub fn sharded_stats(exp: &MemoryExperiment, shots: u64, seed: u64) -> MemoryStats {
     let shard = cli_shard();
     let stats = exp.run_shard(shots, seed, shard);
-    if shard.count > 1 {
+    if shard.count() > 1 {
         eprintln!(
             "[shard {shard}] seed={seed} shots={} z_failures={} x_failures={}",
             stats.shots, stats.failures_z_memory, stats.failures_x_memory

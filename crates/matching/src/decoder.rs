@@ -22,7 +22,7 @@
 //! workspace, as [`MwpmDecoder`](crate::MwpmDecoder) and
 //! [`UnionFindDecoder`](crate::UnionFindDecoder) do.
 
-use surf_pauli::{BitBatch, WideBatch};
+use surf_pauli::BitBatch;
 
 use crate::graph::DecodingGraph;
 use crate::mwpm::MwpmScratch;
@@ -48,11 +48,6 @@ pub struct DecodeWorkspace {
     pub(crate) mwpm: MwpmScratch,
     /// Union-find backend arena: cluster tables and the peeling forest.
     pub(crate) uf: UfScratch,
-    /// Base-width staging slice for wide-batch decoding
-    /// ([`decode_wide_batch_with`]).
-    pub(crate) wide_stage: BitBatch,
-    /// Per-sub-word prediction scratch for wide-batch decoding.
-    pub(crate) wide_predictions: Vec<u64>,
     /// Edge ids (in the decoder's graph) of the corrections reported by
     /// [`Decoder::decode_correction`], which appends and never clears.
     pub correction: Vec<usize>,
@@ -135,49 +130,6 @@ pub trait Decoder: Send + Sync {
             predictions.push(self.decode(&workspace.syndrome));
         }
     }
-}
-
-/// Decodes all active lanes of a wide batch with a one-shot workspace:
-/// the width-`N` twin of [`Decoder::decode_batch`]. See
-/// [`decode_wide_batch_with`] for the session-friendly arena variant.
-pub fn decode_wide_batch<D: Decoder + ?Sized, const N: usize>(
-    decoder: &D,
-    batch: &WideBatch<N>,
-    predictions: &mut Vec<u64>,
-) {
-    let mut workspace = DecodeWorkspace::default();
-    decode_wide_batch_with(decoder, batch, predictions, &mut workspace)
-}
-
-/// Decodes all active lanes of a wide batch through the caller-owned
-/// arena, pushing one observable-flip mask per shot into `predictions`
-/// (cleared first; lane order preserved across sub-words).
-///
-/// Decoders consume one lane at a time, so widening the batch does not
-/// change per-lane decode work; instead each base-width sub-word is
-/// staged out via [`WideBatch::extract_word_batch`] (reusing the arena's
-/// staging buffer) and routed through
-/// [`Decoder::decode_batch_with`] — every backend's scratch-arena
-/// override applies unchanged, and the result is bit-identical to
-/// decoding the `N` sub-words as separate base batches.
-pub fn decode_wide_batch_with<D: Decoder + ?Sized, const N: usize>(
-    decoder: &D,
-    batch: &WideBatch<N>,
-    predictions: &mut Vec<u64>,
-    workspace: &mut DecodeWorkspace,
-) {
-    predictions.clear();
-    // Detach the staging buffers so the workspace can be lent to the
-    // backend while they are in use; reattached below for reuse.
-    let mut stage = std::mem::take(&mut workspace.wide_stage);
-    let mut sub = std::mem::take(&mut workspace.wide_predictions);
-    for w in 0..batch.active_words() {
-        batch.extract_word_batch(w, &mut stage);
-        decoder.decode_batch_with(&stage, &mut sub, workspace);
-        predictions.extend_from_slice(&sub);
-    }
-    workspace.wide_stage = stage;
-    workspace.wide_predictions = sub;
 }
 
 impl<D: Decoder + ?Sized> Decoder for &D {
@@ -266,38 +218,6 @@ mod tests {
         let mut preds = vec![99]; // must be cleared
         stub.decode_batch(&batch, &mut preds);
         assert_eq!(preds, vec![0, 1, 0, 0, 1]);
-    }
-
-    #[test]
-    fn wide_decode_matches_per_subword_base_decode() {
-        let stub = ParityStub(DecodingGraph::new(3));
-        // 150 lanes over 4 words: 64 + 64 + 22 + 0.
-        let mut wide = WideBatch::<4>::with_lanes(3, 150);
-        wide.set(1, 4, true);
-        wide.set(2, 100, true);
-        wide.set(0, 149, true);
-        let mut preds = vec![99];
-        decode_wide_batch(&stub, &wide, &mut preds);
-        assert_eq!(preds.len(), 150, "one prediction per active lane");
-        let mut base = BitBatch::zeros(0);
-        let mut expect = Vec::new();
-        for w in 0..wide.active_words() {
-            wide.extract_word_batch(w, &mut base);
-            let mut sub = Vec::new();
-            stub.decode_batch(&base, &mut sub);
-            expect.extend_from_slice(&sub);
-        }
-        assert_eq!(preds, expect);
-        assert_eq!(preds[4], 1);
-        assert_eq!(preds[100], 1);
-        assert_eq!(preds[149], 1);
-        assert_eq!(preds[5], 0);
-        // The arena variant reuses buffers and agrees bit-for-bit.
-        let mut workspace = DecodeWorkspace::default();
-        let mut preds2 = Vec::new();
-        decode_wide_batch_with(&stub, &wide, &mut preds2, &mut workspace);
-        decode_wide_batch_with(&stub, &wide, &mut preds2, &mut workspace);
-        assert_eq!(preds2, preds);
     }
 
     #[test]

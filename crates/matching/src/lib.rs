@@ -55,7 +55,7 @@ pub use blossom::{
     max_weight_matching, max_weight_matching_with, min_weight_perfect_matching,
     min_weight_perfect_matching_with, BlossomScratch,
 };
-pub use decoder::{decode_wide_batch, decode_wide_batch_with, DecodeWorkspace, Decoder};
+pub use decoder::{DecodeWorkspace, Decoder};
 pub use graph::{xor_probability, DecodingGraph, Edge};
 pub use mwpm::{MwpmDecoder, MwpmScratch};
 pub use registry::{backend_stats, BackendStats, DecoderFactory};

@@ -1,53 +1,30 @@
-//! Word-level bit-packed shot batches, generic over the lane width.
+//! Word-level bit-packed shot batches.
 //!
-//! Monte-Carlo pipelines in this workspace process shots many at a time: a
-//! [`WideBatch<N>`] stores `N` consecutive `u64` words per *bit index* (a
-//! qubit, detector, or measurement record), with lane `b` of the batch
-//! living in bit `b % 64` of word `b / 64` of every row. XOR-ing an error
-//! mask into a detector row applies it to up to `64·N` shots
-//! simultaneously, which is what makes the batch sampler in `surf-sim` and
-//! the `decode_batch` path in `surf-matching` fast. The inner `N`-word
-//! loops are fixed-length arrays, so the compiler autovectorises them; the
-//! `simd` cargo feature additionally routes the slab-level operations
-//! (popcounts, bulk XOR) through runtime-dispatched AVX2/POPCNT kernels —
-//! see [`crate::simd`].
-//!
-//! [`BitBatch`] is the historical 64-lane layout, now simply
-//! `WideBatch<1>`: it remains the bit-exact oracle that the wide widths
-//! are tested against (a width-`N` batch behaves exactly like `N`
-//! independent 64-lane batches occupying its sub-words). The supported
-//! widths are `N ∈ {1, 4, 8}` → 64/256/512 lanes, matching the SIMD
-//! register widths of current hardware, though any `N ≥ 1` works.
+//! Monte-Carlo pipelines in this workspace process shots 64 at a time: a
+//! [`BitBatch`] stores one `u64` word per *bit index* (a qubit, detector,
+//! or measurement record), with lane `b` of the batch living in bit `b` of
+//! every row's word. XOR-ing an error mask into a detector row applies it
+//! to up to 64 shots simultaneously, which is what makes the batch sampler
+//! in `surf-sim` and the `decode_batch` path in `surf-matching` fast.
 //!
 //! The layout is the transpose of [`crate::BitVec`]: a `BitVec` packs many
-//! bits of one shot into each word, a `WideBatch` packs the same bit of
-//! many shots. [`WideBatch::extract_lane`] converts one lane back into a
+//! bits of one shot into each word, a `BitBatch` packs the same bit of
+//! many shots. [`BitBatch::extract_lane`] converts one lane back into a
 //! `BitVec`.
 
-use crate::simd;
 use crate::BitVec;
 
-/// The historical 64-lane batch: one `u64` word per bit row.
+/// A bit matrix of `num_bits` rows × up to 64 shot lanes, one `u64` word
+/// per row (lane `b` = shot `b`).
 ///
-/// All width-specific entry points ([`word`](WideBatch::word),
-/// [`xor_word`](WideBatch::xor_word), [`mask_for`](WideBatch::mask_for),
-/// …) remain available on this alias; the width-generic API lives on
-/// [`WideBatch`].
-pub type BitBatch = WideBatch<1>;
-
-/// A bit matrix of `num_bits` rows × up to `64·N` shot lanes, `N` words
-/// per row.
-///
-/// Lanes beyond [`lanes`](WideBatch::lanes) are kept zero by every
+/// Lanes beyond [`lanes`](BitBatch::lanes) are kept zero by every
 /// mutating operation, so popcounts and lane extraction never see stale
-/// shots after a partial (tail) batch — including tails that are not a
-/// multiple of 64, where the boundary *word* is partially masked and all
-/// later words are held at zero.
+/// shots after a partial (tail) batch.
 ///
 /// # Example
 ///
 /// ```
-/// use surf_pauli::{BitBatch, WideBatch};
+/// use surf_pauli::BitBatch;
 ///
 /// let mut batch = BitBatch::zeros(10);
 /// batch.xor_word(3, 0b101); // flip bit 3 in shots 0 and 2
@@ -56,27 +33,17 @@ pub type BitBatch = WideBatch<1>;
 /// assert_eq!(batch.count_ones(), 2);
 /// let shot2 = batch.extract_lane(2);
 /// assert!(shot2.get(3));
-///
-/// // The same operations, 256 lanes at a time.
-/// let mut wide = WideBatch::<4>::zeros(10);
-/// wide.xor_row(3, [0b101, 0, 1, 0]); // shots 0, 2 and 128
-/// assert!(wide.get(3, 128));
-/// assert_eq!(wide.count_ones(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WideBatch<const N: usize> {
-    /// `N` words per bit row, rows contiguous: row `r` occupies
-    /// `words[r * N..(r + 1) * N]`.
+pub struct BitBatch {
+    /// One word per bit row.
     words: Vec<u64>,
     lanes: usize,
 }
 
-impl<const N: usize> WideBatch<N> {
-    /// Maximum number of shot lanes per batch (`64·N`).
-    pub const LANES: usize = 64 * N;
-
-    /// Number of `u64` words per bit row.
-    pub const WORDS: usize = N;
+impl BitBatch {
+    /// Maximum number of shot lanes per batch.
+    pub const LANES: usize = 64;
 
     /// Creates a zeroed batch of `num_bits` rows with all lanes active.
     pub fn zeros(num_bits: usize) -> Self {
@@ -87,75 +54,53 @@ impl<const N: usize> WideBatch<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds [`WideBatch::LANES`].
+    /// Panics if `lanes` is 0 or exceeds [`BitBatch::LANES`].
     pub fn with_lanes(num_bits: usize, lanes: usize) -> Self {
         assert!(
-            N >= 1 && (1..=Self::LANES).contains(&lanes),
+            (1..=Self::LANES).contains(&lanes),
             "lanes {lanes} out of range 1..={}",
             Self::LANES
         );
-        WideBatch {
-            words: vec![0; num_bits * N],
+        BitBatch {
+            words: vec![0; num_bits],
             lanes,
         }
     }
 
     /// Number of bit rows (qubits / detectors).
     pub fn num_bits(&self) -> usize {
-        self.words.len() / N
+        self.words.len()
     }
 
-    /// Number of active shot lanes (≤ `64·N`).
+    /// Number of active shot lanes (≤ 64).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// The lane mask of word `w` for a batch with `lanes` active lanes:
-    /// full words below the boundary, a partial boundary word, zero
-    /// beyond — the shared formula of every batch consumer.
+    /// Mask with the low `lanes` bits set — the shared lane-mask formula
+    /// of every batch consumer.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds [`WideBatch::LANES`], or `w >= N`.
+    /// Panics if `lanes` is 0 or exceeds 64.
     #[inline]
-    pub fn mask_word_for(lanes: usize, w: usize) -> u64 {
+    pub fn mask_for(lanes: usize) -> u64 {
         assert!(
-            (1..=Self::LANES).contains(&lanes) && w < N,
-            "lanes {lanes} / word {w} out of range (width {N})"
+            (1..=Self::LANES).contains(&lanes),
+            "lanes {lanes} out of range 1..={}",
+            Self::LANES
         );
-        let active = lanes.saturating_sub(w * 64).min(64);
-        if active == 64 {
+        if lanes == 64 {
             u64::MAX
         } else {
-            (1u64 << active) - 1
+            (1u64 << lanes) - 1
         }
     }
 
-    /// All `N` per-word lane masks for `lanes` active lanes.
+    /// Mask with the low [`lanes`](BitBatch::lanes) bits set.
     #[inline]
-    pub fn masks_for(lanes: usize) -> [u64; N] {
-        std::array::from_fn(|w| Self::mask_word_for(lanes, w))
-    }
-
-    /// The per-word lane masks of this batch.
-    #[inline]
-    pub fn lane_masks(&self) -> [u64; N] {
-        Self::masks_for(self.lanes)
-    }
-
-    /// Number of sub-words holding at least one active lane
-    /// (`⌈lanes / 64⌉`).
-    #[inline]
-    pub fn active_words(&self) -> usize {
-        self.lanes.div_ceil(64)
-    }
-
-    /// Active lanes of sub-word `w` (64 below the boundary, partial at
-    /// it, 0 beyond).
-    #[inline]
-    pub fn lanes_of_word(&self, w: usize) -> usize {
-        assert!(w < N, "word {w} out of range {N}");
-        self.lanes.saturating_sub(w * 64).min(64)
+    pub fn lane_mask(&self) -> u64 {
+        Self::mask_for(self.lanes)
     }
 
     /// Reshapes to `num_bits` zeroed rows, keeping the lane count and the
@@ -164,188 +109,23 @@ impl<const N: usize> WideBatch<N> {
     /// that decode differently-sized sub-batches in a loop.
     pub fn reset_rows(&mut self, num_bits: usize) {
         self.words.clear();
-        self.words.resize(num_bits * N, 0);
+        self.words.resize(num_bits, 0);
     }
 
     /// Changes the active lane count, truncating bits of deactivated lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds [`WideBatch::LANES`].
+    /// Panics if `lanes` is 0 or exceeds [`BitBatch::LANES`].
     pub fn set_lanes(&mut self, lanes: usize) {
-        assert!(
-            (1..=Self::LANES).contains(&lanes),
-            "lanes {lanes} out of range 1..={}",
-            Self::LANES
-        );
+        let mask = Self::mask_for(lanes);
         let shrinking = lanes < self.lanes;
         self.lanes = lanes;
         if shrinking {
-            let masks = self.lane_masks();
-            for row in self.words.chunks_exact_mut(N) {
-                for (w, m) in row.iter_mut().zip(masks) {
-                    *w &= m;
-                }
+            for w in &mut self.words {
+                *w &= mask;
             }
         }
-    }
-
-    /// The `N` words of bit row `bit`.
-    #[inline]
-    pub fn row(&self, bit: usize) -> &[u64] {
-        &self.words[bit * N..(bit + 1) * N]
-    }
-
-    /// The words of bit row `bit` as a fixed-size array.
-    #[inline]
-    pub fn row_array(&self, bit: usize) -> [u64; N] {
-        std::array::from_fn(|w| self.words[bit * N + w])
-    }
-
-    /// Sub-word `w` of bit row `bit` (lanes `64·w..64·(w + 1)`).
-    #[inline]
-    pub fn word_at(&self, bit: usize, w: usize) -> u64 {
-        self.words[bit * N + w]
-    }
-
-    /// Overwrites bit row `bit` (masked to active lanes).
-    #[inline]
-    pub fn set_row(&mut self, bit: usize, row: [u64; N]) {
-        let masks = self.lane_masks();
-        for w in 0..N {
-            self.words[bit * N + w] = row[w] & masks[w];
-        }
-    }
-
-    /// XORs an `N`-word mask into bit row `bit` (masked to active lanes).
-    #[inline]
-    pub fn xor_row(&mut self, bit: usize, mask: [u64; N]) {
-        let masks = self.lane_masks();
-        for w in 0..N {
-            self.words[bit * N + w] ^= mask[w] & masks[w];
-        }
-    }
-
-    /// XORs `mask` into sub-word `w` of bit row `bit` (masked to that
-    /// word's active lanes). The caller guarantees nothing; stale-lane
-    /// zeroing is enforced here exactly as in the full-row operations.
-    #[inline]
-    pub fn xor_word_at(&mut self, bit: usize, w: usize, mask: u64) {
-        self.words[bit * N + w] ^= mask & Self::mask_word_for(self.lanes, w);
-    }
-
-    /// Reads bit `bit` of shot `lane`.
-    #[inline]
-    pub fn get(&self, bit: usize, lane: usize) -> bool {
-        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
-        (self.words[bit * N + lane / 64] >> (lane % 64)) & 1 == 1
-    }
-
-    /// Writes bit `bit` of shot `lane`.
-    #[inline]
-    pub fn set(&mut self, bit: usize, lane: usize, value: bool) {
-        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
-        let mask = 1u64 << (lane % 64);
-        let word = &mut self.words[bit * N + lane / 64];
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
-        }
-    }
-
-    /// Zeroes every word, keeping shape and lane count.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Total number of set bits across all rows and active lanes.
-    pub fn count_ones(&self) -> usize {
-        simd::popcount(&self.words) as usize
-    }
-
-    /// Number of shots in which bit row `bit` is set.
-    pub fn row_count_ones(&self, bit: usize) -> usize {
-        self.row(bit).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Collects the bit rows set in shot `lane` into `out` (cleared first),
-    /// in increasing order — the sparse-syndrome form the decoders consume.
-    pub fn lane_ones_into(&self, lane: usize, out: &mut Vec<usize>) {
-        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
-        out.clear();
-        let probe = 1u64 << (lane % 64);
-        let off = lane / 64;
-        for (bit, row) in self.words.chunks_exact(N).enumerate() {
-            if row[off] & probe != 0 {
-                out.push(bit);
-            }
-        }
-    }
-
-    /// Extracts shot `lane` as a dense [`BitVec`] over the bit rows.
-    pub fn extract_lane(&self, lane: usize) -> BitVec {
-        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
-        let probe = 1u64 << (lane % 64);
-        let off = lane / 64;
-        self.words
-            .chunks_exact(N)
-            .map(|row| row[off] & probe != 0)
-            .collect()
-    }
-
-    /// Copies sub-word `w` out as a base-width [`BitBatch`] over the same
-    /// bit rows, with that word's active lane count. `out` is reshaped to
-    /// match (its backing allocation is reused) — the bridge that lets
-    /// per-lane consumers (the decoders) process a wide batch one
-    /// base-width slice at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sub-word `w` holds no active lanes.
-    pub fn extract_word_batch(&self, w: usize, out: &mut BitBatch) {
-        let lanes = self.lanes_of_word(w);
-        assert!(lanes > 0, "sub-word {w} has no active lanes");
-        out.reset_rows(self.num_bits());
-        // `set_lanes` after reset: rows are zero, so no truncation pass.
-        out.lanes = lanes;
-        for (bit, row) in self.words.chunks_exact(N).enumerate() {
-            out.words[bit] = row[w];
-        }
-    }
-
-    /// The backing words, `N` per bit row, rows contiguous.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-/// An empty batch (zero rows, all lanes active) — the scratch-friendly
-/// starting state for buffers later reshaped via
-/// [`reset_rows`](WideBatch::reset_rows) / [`extract_word_batch`](WideBatch::extract_word_batch).
-impl<const N: usize> Default for WideBatch<N> {
-    fn default() -> Self {
-        Self::zeros(0)
-    }
-}
-
-/// Base-width (`N = 1`) conveniences: the historical single-`u64` API.
-impl BitBatch {
-    /// Mask with the low `lanes` bits set — the shared lane-mask formula
-    /// of every base-width batch consumer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds 64.
-    #[inline]
-    pub fn mask_for(lanes: usize) -> u64 {
-        Self::mask_word_for(lanes, 0)
-    }
-
-    /// Mask with the low [`lanes`](WideBatch::lanes) bits set.
-    #[inline]
-    pub fn lane_mask(&self) -> u64 {
-        Self::mask_for(self.lanes)
     }
 
     /// The word of bit row `bit` (lane `b` = shot `b`).
@@ -366,6 +146,75 @@ impl BitBatch {
     pub fn xor_word(&mut self, bit: usize, mask: u64) {
         let lanes = self.lane_mask();
         self.words[bit] ^= mask & lanes;
+    }
+
+    /// Reads bit `bit` of shot `lane`.
+    #[inline]
+    pub fn get(&self, bit: usize, lane: usize) -> bool {
+        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
+        (self.words[bit] >> lane) & 1 == 1
+    }
+
+    /// Writes bit `bit` of shot `lane`.
+    #[inline]
+    pub fn set(&mut self, bit: usize, lane: usize, value: bool) {
+        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
+        let mask = 1u64 << lane;
+        let word = &mut self.words[bit];
+        if value {
+            *word |= mask;
+        } else {
+            *word &= !mask;
+        }
+    }
+
+    /// Zeroes every word, keeping shape and lane count.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Total number of set bits across all rows and active lanes.
+    pub fn count_ones(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of shots in which bit row `bit` is set.
+    pub fn row_count_ones(&self, bit: usize) -> usize {
+        self.words[bit].count_ones() as usize
+    }
+
+    /// Collects the bit rows set in shot `lane` into `out` (cleared first),
+    /// in increasing order — the sparse-syndrome form the decoders consume.
+    pub fn lane_ones_into(&self, lane: usize, out: &mut Vec<usize>) {
+        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
+        out.clear();
+        let probe = 1u64 << lane;
+        for (bit, &word) in self.words.iter().enumerate() {
+            if word & probe != 0 {
+                out.push(bit);
+            }
+        }
+    }
+
+    /// Extracts shot `lane` as a dense [`BitVec`] over the bit rows.
+    pub fn extract_lane(&self, lane: usize) -> BitVec {
+        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
+        let probe = 1u64 << lane;
+        self.words.iter().map(|&word| word & probe != 0).collect()
+    }
+
+    /// The backing words, one per bit row.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// An empty batch (zero rows, all lanes active) — the scratch-friendly
+/// starting state for buffers later reshaped via
+/// [`reset_rows`](BitBatch::reset_rows).
+impl Default for BitBatch {
+    fn default() -> Self {
+        Self::zeros(0)
     }
 }
 
@@ -446,6 +295,17 @@ mod tests {
     }
 
     #[test]
+    fn reset_rows_keeps_lanes() {
+        let mut b = BitBatch::with_lanes(2, 40);
+        b.xor_word(1, u64::MAX);
+        b.reset_rows(5);
+        assert_eq!(b.num_bits(), 5);
+        assert_eq!(b.lanes(), 40);
+        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.words(), &[0; 5]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn lane_out_of_range_panics() {
         let b = BitBatch::with_lanes(1, 8);
@@ -456,126 +316,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_lanes_panics() {
         BitBatch::with_lanes(1, 0);
-    }
-
-    // ---- wide widths ----
-
-    #[test]
-    fn wide_zeros_shape() {
-        let b = WideBatch::<4>::zeros(5);
-        assert_eq!(b.num_bits(), 5);
-        assert_eq!(b.lanes(), 256);
-        assert_eq!(WideBatch::<4>::LANES, 256);
-        assert_eq!(WideBatch::<8>::LANES, 512);
-        assert_eq!(b.lane_masks(), [u64::MAX; 4]);
-        assert_eq!(b.count_ones(), 0);
-        assert_eq!(b.words().len(), 20);
-    }
-
-    #[test]
-    fn wide_set_get_roundtrip_across_words() {
-        let mut b = WideBatch::<4>::zeros(3);
-        for lane in [0usize, 63, 64, 127, 128, 255] {
-            b.set(1, lane, true);
-            assert!(b.get(1, lane), "lane {lane}");
-        }
-        assert_eq!(b.count_ones(), 6);
-        assert_eq!(b.row_count_ones(1), 6);
-        assert_eq!(b.row_count_ones(0), 0);
-        b.set(1, 64, false);
-        assert!(!b.get(1, 64));
-        assert_eq!(b.count_ones(), 5);
-    }
-
-    #[test]
-    fn wide_partial_lane_masks() {
-        // 200 lanes over 4 words: 64 + 64 + 64 + 8.
-        assert_eq!(
-            WideBatch::<4>::masks_for(200),
-            [u64::MAX, u64::MAX, u64::MAX, 0xFF]
-        );
-        // 70 lanes: boundary inside word 1, words 2 and 3 inactive.
-        assert_eq!(WideBatch::<4>::masks_for(70), [u64::MAX, 0b11_1111, 0, 0]);
-        let b = WideBatch::<4>::with_lanes(1, 70);
-        assert_eq!(b.active_words(), 2);
-        assert_eq!(b.lanes_of_word(0), 64);
-        assert_eq!(b.lanes_of_word(1), 6);
-        assert_eq!(b.lanes_of_word(2), 0);
-    }
-
-    #[test]
-    fn wide_xor_row_respects_partial_masks() {
-        let mut b = WideBatch::<4>::with_lanes(2, 70);
-        b.xor_row(0, [u64::MAX; 4]);
-        assert_eq!(b.row(0), &[u64::MAX, 0b11_1111, 0, 0]);
-        assert_eq!(b.count_ones(), 70);
-        b.xor_word_at(0, 1, u64::MAX);
-        assert_eq!(b.word_at(0, 1), 0, "stale lanes must stay zero");
-        b.xor_word_at(0, 3, 0b1);
-        assert_eq!(b.word_at(0, 3), 0, "inactive word must stay zero");
-    }
-
-    #[test]
-    fn wide_set_lanes_truncates_across_words() {
-        let mut b = WideBatch::<4>::zeros(2);
-        b.xor_row(0, [u64::MAX; 4]);
-        b.set_lanes(100);
-        assert_eq!(b.count_ones(), 100);
-        assert_eq!(b.row(0)[2], 0);
-        assert_eq!(b.row(0)[3], 0);
-        b.set_lanes(256);
-        assert_eq!(b.count_ones(), 100, "truncated shots stay gone");
-    }
-
-    #[test]
-    fn wide_lane_extraction_across_words() {
-        let mut b = WideBatch::<8>::zeros(6);
-        b.xor_word_at(1, 2, 1 << 7); // lane 135
-        b.xor_word_at(4, 2, 1 << 7);
-        b.xor_word_at(4, 7, 1 << 9); // lane 457
-        let mut ones = Vec::new();
-        b.lane_ones_into(135, &mut ones);
-        assert_eq!(ones, vec![1, 4]);
-        b.lane_ones_into(457, &mut ones);
-        assert_eq!(ones, vec![4]);
-        b.lane_ones_into(0, &mut ones);
-        assert!(ones.is_empty());
-        let v = b.extract_lane(135);
-        assert!(v.get(1) && v.get(4) && !v.get(0));
-    }
-
-    #[test]
-    fn extract_word_batch_slices_the_wide_batch() {
-        let mut b = WideBatch::<4>::with_lanes(3, 200);
-        b.set_row(0, [1, 2, 3, 4]);
-        b.set_row(2, [0, 0, 0, 0xAB]);
-        let mut base = BitBatch::zeros(1);
-        b.extract_word_batch(1, &mut base);
-        assert_eq!(base.num_bits(), 3);
-        assert_eq!(base.lanes(), 64);
-        assert_eq!(base.word(0), 2);
-        assert_eq!(base.word(2), 0);
-        b.extract_word_batch(3, &mut base);
-        assert_eq!(base.lanes(), 8, "boundary word carries the tail lanes");
-        assert_eq!(base.word(0), 4);
-        assert_eq!(base.word(2), 0xAB);
-    }
-
-    #[test]
-    #[should_panic(expected = "no active lanes")]
-    fn extract_inactive_word_panics() {
-        let b = WideBatch::<4>::with_lanes(1, 64);
-        let mut base = BitBatch::zeros(1);
-        b.extract_word_batch(1, &mut base);
-    }
-
-    #[test]
-    fn wide_reset_rows_keeps_lanes() {
-        let mut b = WideBatch::<4>::with_lanes(2, 100);
-        b.xor_row(1, [u64::MAX; 4]);
-        b.reset_rows(5);
-        assert_eq!(b.num_bits(), 5);
-        assert_eq!(b.lanes(), 100);
-        assert_eq!(b.count_ones(), 0);
     }
 }

@@ -9,11 +9,9 @@
 //!   queries sufficient for stabilizer bookkeeping.
 //! * [`BitVec`] — a bit-packed boolean vector used by the dense tableau
 //!   simulator in `surf-stabilizer`.
-//! * [`WideBatch`] / [`BitBatch`] — the transposed batch layout (`N` `u64`
-//!   words = `64·N` shots per qubit/detector; `BitBatch = WideBatch<1>`)
-//!   shared by the batch sampler in `surf-sim` and the `decode_batch` path
-//!   in `surf-matching`, with [`simd`]-accelerated slab kernels behind the
-//!   `simd` cargo feature.
+//! * [`BitBatch`] — the transposed batch layout (one `u64` word = 64 shots
+//!   per qubit/detector) shared by the batch sampler in `surf-sim` and the
+//!   `decode_batch` path in `surf-matching`.
 //! * [`gf2`] — Gaussian elimination, rank, solving, and span membership over
 //!   GF(2), used for logical-operator rerouting and code validity checks.
 //!
@@ -33,10 +31,9 @@ mod bitbatch;
 mod bitvec;
 pub mod gf2;
 mod pauli;
-pub mod simd;
 mod string;
 
-pub use bitbatch::{BitBatch, WideBatch};
+pub use bitbatch::BitBatch;
 pub use bitvec::BitVec;
 pub use pauli::Pauli;
 pub use string::PauliString;

@@ -13,7 +13,7 @@
 use rand::Rng;
 
 use surf_matching::DecodingGraph;
-use surf_pauli::{BitBatch, WideBatch};
+use surf_pauli::BitBatch;
 
 use crate::circuit::{Instruction, MemoryCircuit};
 use crate::sampler::{bernoulli_mask, geometric_skip, GEOMETRIC_THRESHOLD};
@@ -146,7 +146,7 @@ pub fn sample_batch_lanes<R: Rng + ?Sized>(
     let mut z = vec![0u64; n];
     let mut pending = vec![0u64; n];
     let mut record: Vec<u64> = Vec::with_capacity(mc.circuit.num_measurements());
-    let mut streams = RateStreams::<1>::new();
+    let mut streams = RateStreams::new();
     for inst in &mc.circuit.instructions {
         match inst {
             Instruction::ResetZ(qs) | Instruction::ResetX(qs) => {
@@ -180,7 +180,7 @@ pub fn sample_batch_lanes<R: Rng + ?Sized>(
             }
             Instruction::Depolarize1(qs, p) => {
                 let e = streams.entry(*p);
-                streams.fires(e, 0, rng, qs.len(), lanes, lane_mask, |rng, site, bit| {
+                streams.fires(e, rng, qs.len(), lanes, lane_mask, |rng, site, bit| {
                     let q = qs[site];
                     match rng.gen_range(0..3) {
                         0 => x[q] ^= bit,
@@ -194,31 +194,23 @@ pub fn sample_batch_lanes<R: Rng + ?Sized>(
             }
             Instruction::Depolarize2(pairs, p) => {
                 let e = streams.entry(*p);
-                streams.fires(
-                    e,
-                    0,
-                    rng,
-                    pairs.len(),
-                    lanes,
-                    lane_mask,
-                    |rng, site, bit| {
-                        let (a, b) = pairs[site];
-                        // Uniform non-identity two-qubit Pauli (15 cases).
-                        let k = rng.gen_range(1..16usize);
-                        for ((fx, fz), q) in two_qubit_pauli_xz(k).into_iter().zip([a, b]) {
-                            if fx {
-                                x[q] ^= bit;
-                            }
-                            if fz {
-                                z[q] ^= bit;
-                            }
+                streams.fires(e, rng, pairs.len(), lanes, lane_mask, |rng, site, bit| {
+                    let (a, b) = pairs[site];
+                    // Uniform non-identity two-qubit Pauli (15 cases).
+                    let k = rng.gen_range(1..16usize);
+                    for ((fx, fz), q) in two_qubit_pauli_xz(k).into_iter().zip([a, b]) {
+                        if fx {
+                            x[q] ^= bit;
                         }
-                    },
-                )
+                        if fz {
+                            z[q] ^= bit;
+                        }
+                    }
+                })
             }
             Instruction::MeasFlip(qs, p) => {
                 let e = streams.entry(*p);
-                streams.fires(e, 0, rng, qs.len(), lanes, lane_mask, |_, site, bit| {
+                streams.fires(e, rng, qs.len(), lanes, lane_mask, |_, site, bit| {
                     pending[qs[site]] ^= bit;
                 })
             }
@@ -232,212 +224,40 @@ pub fn sample_batch_lanes<R: Rng + ?Sized>(
     (batch, obs)
 }
 
-/// The width-`N` twin of [`sample_batch_lanes`]: one instruction walk
-/// propagates `64·N` shots, with the X/Z frame holding `[u64; N]` rows
-/// per qubit so every gate is an `N`-word slab operation (the per-row
-/// loops are fixed-stride and autovectorise; under `--features simd` the
-/// containing crate's kernels cover the batch-level sweeps).
-///
-/// Noise sites fire per sub-word: sub-word `j` draws from `rngs[j]` with
-/// exactly the order and count of a base-width
-/// `sample_batch_lanes(mc, &mut rngs[j], lanes_of_word(j))` call, so the
-/// wide walk is bit-identical to `N` base walks on the same seed streams
-/// — the same per-lane-width determinism contract as
-/// [`BatchSampler::sample_wide_into`](crate::BatchSampler::sample_wide_into).
-/// Returns the wide detector batch and one observable word per sub-word.
-pub fn sample_batch_wide<R: Rng, const N: usize>(
-    mc: &MemoryCircuit,
-    rngs: &mut [R; N],
-    lanes: usize,
-) -> (WideBatch<N>, [u64; N]) {
-    let n = mc.circuit.num_qubits;
-    // Construct the result batch up front: validates `lanes` before any
-    // simulation work and is the single source of the lane masks.
-    let mut batch = WideBatch::<N>::with_lanes(mc.detectors.len(), lanes);
-    let lane_masks = batch.lane_masks();
-    let active = batch.active_words();
-    let mut x = vec![[0u64; N]; n];
-    let mut z = vec![[0u64; N]; n];
-    let mut pending = vec![[0u64; N]; n];
-    let mut record: Vec<[u64; N]> = Vec::with_capacity(mc.circuit.num_measurements());
-    let mut streams = RateStreams::<N>::new();
-    for inst in &mc.circuit.instructions {
-        match inst {
-            Instruction::ResetZ(qs) | Instruction::ResetX(qs) => {
-                for &q in qs {
-                    x[q] = [0; N];
-                    z[q] = [0; N];
-                }
-            }
-            Instruction::H(qs) => {
-                for &q in qs {
-                    std::mem::swap(&mut x[q], &mut z[q]);
-                }
-            }
-            Instruction::Cx(pairs) => {
-                for &(c, t) in pairs {
-                    let xc = x[c];
-                    for (w, s) in x[t].iter_mut().zip(xc) {
-                        *w ^= s;
-                    }
-                    let zt = z[t];
-                    for (w, s) in z[c].iter_mut().zip(zt) {
-                        *w ^= s;
-                    }
-                }
-            }
-            Instruction::MeasureZ(qs) => {
-                for &q in qs {
-                    let mut row = x[q];
-                    for (w, s) in row.iter_mut().zip(pending[q]) {
-                        *w ^= s;
-                    }
-                    record.push(row);
-                    pending[q] = [0; N];
-                }
-            }
-            Instruction::MeasureX(qs) => {
-                for &q in qs {
-                    let mut row = z[q];
-                    for (w, s) in row.iter_mut().zip(pending[q]) {
-                        *w ^= s;
-                    }
-                    record.push(row);
-                    pending[q] = [0; N];
-                }
-            }
-            Instruction::Depolarize1(qs, p) => {
-                let e = streams.entry(*p);
-                for (j, rng) in rngs.iter_mut().enumerate().take(active) {
-                    let lanes_j = batch.lanes_of_word(j);
-                    streams.fires(
-                        e,
-                        j,
-                        rng,
-                        qs.len(),
-                        lanes_j,
-                        lane_masks[j],
-                        |rng, site, bit| {
-                            let q = qs[site];
-                            match rng.gen_range(0..3) {
-                                0 => x[q][j] ^= bit,
-                                1 => z[q][j] ^= bit,
-                                _ => {
-                                    x[q][j] ^= bit;
-                                    z[q][j] ^= bit;
-                                }
-                            }
-                        },
-                    )
-                }
-            }
-            Instruction::Depolarize2(pairs, p) => {
-                let e = streams.entry(*p);
-                for (j, rng) in rngs.iter_mut().enumerate().take(active) {
-                    let lanes_j = batch.lanes_of_word(j);
-                    streams.fires(
-                        e,
-                        j,
-                        rng,
-                        pairs.len(),
-                        lanes_j,
-                        lane_masks[j],
-                        |rng, site, bit| {
-                            let (a, b) = pairs[site];
-                            // Uniform non-identity two-qubit Pauli (15 cases).
-                            let k = rng.gen_range(1..16usize);
-                            for ((fx, fz), q) in two_qubit_pauli_xz(k).into_iter().zip([a, b]) {
-                                if fx {
-                                    x[q][j] ^= bit;
-                                }
-                                if fz {
-                                    z[q][j] ^= bit;
-                                }
-                            }
-                        },
-                    )
-                }
-            }
-            Instruction::MeasFlip(qs, p) => {
-                let e = streams.entry(*p);
-                for (j, rng) in rngs.iter_mut().enumerate().take(active) {
-                    let lanes_j = batch.lanes_of_word(j);
-                    streams.fires(
-                        e,
-                        j,
-                        rng,
-                        qs.len(),
-                        lanes_j,
-                        lane_masks[j],
-                        |_, site, bit| {
-                            pending[qs[site]][j] ^= bit;
-                        },
-                    )
-                }
-            }
-        }
-    }
-    for (i, det) in mc.detectors.iter().enumerate() {
-        let row = det.records.iter().fold([0u64; N], |mut acc, &r| {
-            for (w, s) in acc.iter_mut().zip(record[r]) {
-                *w ^= s;
-            }
-            acc
-        });
-        batch.set_row(i, row);
-    }
-    let mut obs = mc.observable.iter().fold([0u64; N], |mut acc, &r| {
-        for (w, s) in acc.iter_mut().zip(record[r]) {
-            *w ^= s;
-        }
-        acc
-    });
-    for (o, lm) in obs.iter_mut().zip(lane_masks.iter()) {
-        *o &= lm;
-    }
-    (batch, obs)
-}
-
 /// Per-rate geometric stream state for one batch walk, shared across all
 /// of the walk's noise instructions: a single Bernoulli(`p`) trial
 /// sequence spans the concatenated `sites × lanes` grids of every
 /// instruction carrying that rate, and the skip cursor survives
 /// instruction boundaries. The walk then pays ~one RNG draw per *firing*
-/// plus one priming draw per rate per stream — not the
-/// one-draw-per-instruction minimum a fresh geometric enumeration would
-/// cost. For a mostly-silent low-noise walk that minimum *is* the
-/// sampling bill, and the wide walk would pay it once per sub-word;
-/// skipping straight across silent instructions is what lets the wide
-/// walk's per-shot cost approach its pure gate-op floor. The enumeration
-/// stays an exact iid Bernoulli(`p`) sample per trial — geometric
-/// skipping does not care where instruction boundaries fall in the trial
-/// sequence.
+/// plus one priming draw per rate — not the one-draw-per-instruction
+/// minimum a fresh geometric enumeration would cost. For a mostly-silent
+/// low-noise walk that minimum *is* the sampling bill; skipping straight
+/// across silent instructions is what lets the walk's per-shot cost
+/// approach its pure gate-op floor. The enumeration stays an exact iid
+/// Bernoulli(`p`) sample per trial — geometric skipping does not care
+/// where instruction boundaries fall in the trial sequence.
 ///
 /// Dense rates (`p ≥ GEOMETRIC_THRESHOLD`) keep the per-word
-/// Bernoulli-mask path and carry no cursor. `S` is the number of
-/// independent RNG streams the walk drives (the sub-words of a wide
-/// batch); stream `j` consumes `rngs[j]` exactly as a width-1 walk over
-/// the same instruction list would, which is what keeps the wide walk
-/// bit-identical to `S` base walks.
-struct RateStreams<const S: usize>(Vec<RateStream<S>>);
+/// Bernoulli-mask path and carry no cursor.
+struct RateStreams(Vec<RateStream>);
 
-struct RateStream<const S: usize> {
+struct RateStream {
     p: f64,
     inv_ln_q: f64,
-    /// Absolute trial index of stream `j`'s next firing, once primed.
-    next: [u64; S],
-    /// Absolute trials consumed so far by stream `j`.
-    end: [u64; S],
-    primed: [bool; S],
+    /// Absolute trial index of the next firing, once primed.
+    next: u64,
+    /// Absolute trials consumed so far.
+    end: u64,
+    primed: bool,
 }
 
-impl<const S: usize> RateStreams<S> {
+impl RateStreams {
     fn new() -> Self {
         RateStreams(Vec::new())
     }
 
-    /// Index of the stream bundle for rate `p`, created on first use. A
-    /// walk carries a handful of distinct rates, so the linear scan also
+    /// Index of the stream for rate `p`, created on first use. A walk
+    /// carries a handful of distinct rates, so the linear scan also
     /// caches the libm `ln_1p` call per rate instead of per instruction.
     fn entry(&mut self, p: f64) -> usize {
         if let Some(i) = self.0.iter().position(|s| s.p == p) {
@@ -446,21 +266,19 @@ impl<const S: usize> RateStreams<S> {
         self.0.push(RateStream {
             p,
             inv_ln_q: 1.0 / (-p).ln_1p(),
-            next: [0; S],
-            end: [0; S],
-            primed: [false; S],
+            next: 0,
+            end: 0,
+            primed: false,
         });
         self.0.len() - 1
     }
 
     /// Enumerates one instruction's Bernoulli successes over its
-    /// `sites × lanes` trial grid for RNG stream `j`, calling
-    /// `fire(rng, site, lane_bit)` for each.
-    #[allow(clippy::too_many_arguments)]
+    /// `sites × lanes` trial grid, calling `fire(rng, site, lane_bit)`
+    /// for each.
     fn fires<R: Rng + ?Sized>(
         &mut self,
         entry: usize,
-        j: usize,
         rng: &mut R,
         sites: usize,
         lanes: usize,
@@ -482,21 +300,22 @@ impl<const S: usize> RateStreams<S> {
             }
             return;
         }
-        let start = s.end[j];
-        s.end[j] = start + sites as u64 * lanes as u64;
-        if !s.primed[j] {
-            s.next[j] = geometric_skip(rng, s.inv_ln_q);
-            s.primed[j] = true;
+        let start = s.end;
+        s.end = start + sites as u64 * lanes as u64;
+        if !s.primed {
+            s.next = geometric_skip(rng, s.inv_ln_q);
+            s.primed = true;
         }
-        while s.next[j] < s.end[j] {
-            let local = s.next[j] - start;
+        while s.next < s.end {
+            let local = s.next - start;
             let (site, lane) = if lanes == 64 {
                 (local >> 6, local & 63)
             } else {
                 (local / lanes as u64, local % lanes as u64)
             };
             fire(rng, site as usize, 1u64 << lane);
-            s.next[j] = s.next[j]
+            s.next = s
+                .next
                 .saturating_add(1)
                 .saturating_add(geometric_skip(rng, s.inv_ln_q));
         }
@@ -740,43 +559,6 @@ mod tests {
             r5 < r3 && r3 > 0.0,
             "circuit-level d=5 ({r5}) must beat d=3 ({r3})"
         );
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j is a sub-word index shared by seeds, arrays, and messages
-    fn wide_frame_walk_matches_base_walk_bit_for_bit() {
-        // Both noise regimes (geometric below the threshold, per-word
-        // masks above it), across full, partial-word, and single-word
-        // wide lane counts: sub-word j of the wide walk must reproduce
-        // the base walk seeded from the same stream exactly.
-        let patch = Patch::rotated(3);
-        for &p in &[2e-3, 0.25] {
-            let mc = memory_circuit(&patch, Basis::Z, 2, p);
-            for &lanes in &[256usize, 150, 64, 10] {
-                let mut rngs: [StdRng; 4] =
-                    std::array::from_fn(|j| StdRng::seed_from_u64(70 + j as u64));
-                let (wide, obs) = sample_batch_wide(&mc, &mut rngs, lanes);
-                for j in 0..lanes.div_ceil(64) {
-                    let lanes_j = (lanes - 64 * j).min(64);
-                    let mut base_rng = StdRng::seed_from_u64(70 + j as u64);
-                    let (base, obs_base) = sample_batch_lanes(&mc, &mut base_rng, lanes_j);
-                    assert_eq!(obs[j], obs_base, "p {p} lanes {lanes} word {j}");
-                    for d in 0..mc.detectors.len() {
-                        assert_eq!(
-                            wide.word_at(d, j),
-                            base.word(d),
-                            "p {p} lanes {lanes} word {j} det {d}"
-                        );
-                    }
-                }
-                for j in lanes.div_ceil(64)..4 {
-                    assert_eq!(obs[j], 0, "inactive sub-word {j} has a dirty obs word");
-                    for d in 0..mc.detectors.len() {
-                        assert_eq!(wide.word_at(d, j), 0, "inactive sub-word {j} dirty");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

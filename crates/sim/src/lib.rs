@@ -49,23 +49,16 @@ mod view;
 
 pub use circuit::{memory_circuit, Circuit, Detector, Instruction, MemoryCircuit};
 pub use fit::LogicalRateModel;
-pub use frame::{extract_dem, sample_batch, sample_batch_lanes, sample_batch_wide, sample_shot};
-pub use memory::{
-    per_round, DecoderKind, LaneWidth, MemoryExperiment, MemoryStats, Shard, StreamConfig,
-};
+pub use frame::{extract_dem, sample_batch, sample_batch_lanes, sample_shot};
+pub use memory::{per_round, DecoderKind, MemoryExperiment, MemoryStats, Shard, StreamConfig};
 pub use model::{Channel, DecoderPrior, DetectorModel};
 pub use noise::{NoiseParams, QubitNoise};
 pub use periodic::{PeriodicEvent, PeriodicModel, PeriodicScratch};
-pub use sampler::{
-    bernoulli_mask, bernoulli_masks_wide, BatchSampler, SparseBatch, GEOMETRIC_THRESHOLD,
-};
+pub use sampler::{bernoulli_mask, BatchSampler, SparseBatch, GEOMETRIC_THRESHOLD};
 pub use service::{
     Availability, DecodeSession, DeformationNotice, SessionConfig, SessionError, SessionOutput,
 };
-pub use stream::{
-    RoundSlice, RoundStream, SparseRoundStream, WideRoundSlice, WideRoundStream,
-    WideSparseRoundStream,
-};
+pub use stream::{RoundSlice, RoundStream, SparseRoundStream};
 pub use timeline::{DetectorRemap, TimelineModel};
 pub use view::ModelView;
 
@@ -76,4 +69,4 @@ pub use surf_deformer_core::PatchTimeline;
 pub use surf_matching::{
     Decoder, GraphEpoch, RoundModelSource, SourceEdge, WindowConfig, WindowedDecoder,
 };
-pub use surf_pauli::{BitBatch, WideBatch};
+pub use surf_pauli::BitBatch;

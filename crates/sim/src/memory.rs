@@ -15,10 +15,9 @@ use surf_defects::{DefectEvent, DefectMap, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Patch};
 use surf_matching::{
-    decode_wide_batch_with, DecodeWorkspace, Decoder, DecoderFactory, DecodingGraph, MwpmDecoder,
-    UnionFindDecoder, WindowConfig,
+    Decoder, DecoderFactory, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig,
 };
-use surf_pauli::{BitBatch, WideBatch};
+use surf_pauli::BitBatch;
 
 use crate::model::{DecoderPrior, DetectorModel};
 use crate::noise::{NoiseParams, QubitNoise};
@@ -61,66 +60,6 @@ impl DecoderKind {
     }
 }
 
-/// How many bit-packed shot lanes one sampling/decode pass carries.
-///
-/// The base width is 64 lanes (one machine word per detector row); the
-/// wide widths pack 4 or 8 words per row ([`WideBatch`]) so the XOR/AND/
-/// popcount inner loops of sampling and frame propagation vectorise —
-/// with the `simd` cargo feature they dispatch to AVX2 where available.
-///
-/// # Determinism across widths
-///
-/// Failure counts are a pure function of `(shots, seed, width)`. Sub-word
-/// `j` of a width-`N` batch consumes the SplitMix64 seed stream of base
-/// batch `N·slot + j` in exactly the draw order and count of a standalone
-/// 64-lane batch, so a 256-lane pass is bit-identical to the four 64-lane
-/// batches it replaces — widths differ only in how many streams advance
-/// per pass, never in what any stream produces. [`LaneWidth::X64`] routes
-/// to the scalar path and is the bit-exact oracle for the wide ones.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// 64 shots per pass — one `u64` word per detector row (the original
-    /// [`BitBatch`] layout, and the oracle the wide widths must match).
-    #[default]
-    X64,
-    /// 256 shots per pass — `[u64; 4]` words per row.
-    X256,
-    /// 512 shots per pass — `[u64; 8]` words per row.
-    X512,
-}
-
-impl LaneWidth {
-    /// Shot lanes carried per pass (64, 256 or 512).
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::X64 => 64,
-            LaneWidth::X256 => 256,
-            LaneWidth::X512 => 512,
-        }
-    }
-
-    /// Base-width (64-lane) sub-words per pass (1, 4 or 8).
-    pub fn words(self) -> usize {
-        self.lanes() / BitBatch::LANES
-    }
-
-    /// Parses the `--width` flag notation (`64`, `256` or `512`).
-    pub fn parse(s: &str) -> Option<LaneWidth> {
-        match s.trim() {
-            "64" => Some(LaneWidth::X64),
-            "256" => Some(LaneWidth::X256),
-            "512" => Some(LaneWidth::X512),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.lanes())
-    }
-}
-
 /// The `i`-th output of the SplitMix64 stream seeded at `seed`: γ-spaced
 /// states passed through the full avalanche mix. Used to derive
 /// decorrelated per-thread RNG seeds (a plain `(seed + C) * (t + 1)`
@@ -139,12 +78,20 @@ fn splitmix64_stream(seed: u64, i: u64) -> u64 {
 /// *global* batch number, so the failure counts of the `count` shards sum
 /// to exactly the single-host result for the same `(shots, seed)` — see
 /// [`MemoryStats::merge`].
+///
+/// The fields are private so every `Shard` passes through
+/// [`Shard::new`]'s `index < count` check: a zero `count` would never
+/// finish a run, and `index >= count` would silently repeat another
+/// shard's batches.
+///
+/// ```compile_fail
+/// // Only `new`, `parse` and `solo` build a shard.
+/// let unchecked = surf_sim::Shard { index: 0, count: 0 };
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shard {
-    /// This shard's position, `0..count`.
-    pub index: u64,
-    /// Total number of shards.
-    pub count: u64,
+    index: u64,
+    count: u64,
 }
 
 impl Shard {
@@ -161,6 +108,16 @@ impl Shard {
     pub fn new(index: u64, count: u64) -> Self {
         assert!(index < count, "shard index {index} outside 0..{count}");
         Shard { index, count }
+    }
+
+    /// This shard's position, `0..count`.
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// Total number of shards.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
     /// Parses the `k/n` notation of the `--shard` flag.
@@ -397,112 +354,6 @@ impl MemoryExperiment {
         }
     }
 
-    /// [`run`](Self::run) at an explicit [`LaneWidth`]: shots are packed
-    /// `width.lanes()` to a pass instead of 64. Failure counts are
-    /// bit-identical to [`run`](Self::run) at every width — see the
-    /// [`LaneWidth`] determinism contract.
-    pub fn run_wide(&self, shots: u64, seed: u64, width: LaneWidth) -> MemoryStats {
-        self.run_wide_shard(shots, seed, width, Shard::solo())
-    }
-
-    /// [`run_shard`](Self::run_shard) at an explicit [`LaneWidth`]. Shards
-    /// keep their base-width batch ownership (`--shard` semantics are
-    /// width-independent): a wide pass groups `width.words()` consecutive
-    /// *owned* batches, so shard counts still sum to the single-host
-    /// result at any width.
-    pub fn run_wide_shard(
-        &self,
-        shots: u64,
-        seed: u64,
-        width: LaneWidth,
-        shard: Shard,
-    ) -> MemoryStats {
-        let failures_z = self.run_basis_wide_shard(Basis::Z, shots, seed, width, shard);
-        let failures_x =
-            self.run_basis_wide_shard(Basis::X, shots, seed ^ 0x9E37_79B9_7F4A_7C15, width, shard);
-        MemoryStats {
-            shots: shard.shots_of(shots),
-            failures_z_memory: failures_z,
-            failures_x_memory: failures_x,
-        }
-    }
-
-    /// [`run_basis`](Self::run_basis) at an explicit [`LaneWidth`].
-    pub fn run_basis_wide(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        width: LaneWidth,
-    ) -> u64 {
-        self.run_basis_wide_shard(memory_basis, shots, seed, width, Shard::solo())
-    }
-
-    /// [`run_basis_shard`](Self::run_basis_shard) at an explicit
-    /// [`LaneWidth`]: the width dispatch point of the whole-history path.
-    /// [`LaneWidth::X64`] routes to the original scalar-word
-    /// implementation (the oracle); the wide widths run the const-generic
-    /// [`WideBatch`] pipeline.
-    pub fn run_basis_wide_shard(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        width: LaneWidth,
-        shard: Shard,
-    ) -> u64 {
-        match width {
-            LaneWidth::X64 => self.run_basis_shard(memory_basis, shots, seed, shard),
-            LaneWidth::X256 => self.run_basis_impl_wide::<4>(
-                memory_basis,
-                shots,
-                seed,
-                available_threads(shots),
-                shard,
-            ),
-            LaneWidth::X512 => self.run_basis_impl_wide::<8>(
-                memory_basis,
-                shots,
-                seed,
-                available_threads(shots),
-                shard,
-            ),
-        }
-    }
-
-    /// The width-`N` twin of [`run_basis_impl`](Self::run_basis_impl):
-    /// samples [`WideBatch`]es through
-    /// [`sample_wide_into`](crate::BatchSampler::sample_wide_into), decodes
-    /// them sub-word-at-a-time through
-    /// [`decode_wide_batch_with`] (one cached [`DecodeWorkspace`] per
-    /// worker), and counts mismatches word-wise per sub-word.
-    fn run_basis_impl_wide<const N: usize>(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        threads: usize,
-        shard: Shard,
-    ) -> u64 {
-        let noise = QubitNoise::new(self.noise, self.kept_defects.clone());
-        let model =
-            DetectorModel::build(&self.patch, memory_basis, self.rounds, &noise, self.prior);
-        let decoder = self.decoder.build(model.graph.clone());
-        run_batches_shard_wide::<N, _, _>(shots, seed, threads, shard, || {
-            let sampler = model.batch_sampler();
-            let decoder = decoder.as_ref();
-            let mut batch = WideBatch::<N>::zeros(model.num_detectors);
-            let mut predictions = Vec::with_capacity(WideBatch::<N>::LANES);
-            let mut workspace = DecodeWorkspace::default();
-            move |rngs: &mut [StdRng; N], lanes: usize| {
-                batch.set_lanes(lanes);
-                let true_obs = sampler.sample_wide_into(rngs, &mut batch);
-                decode_wide_batch_with(decoder, &batch, &mut predictions, &mut workspace);
-                count_failures_wide::<N>(&predictions, &true_obs, &batch.lane_masks())
-            }
-        })
-    }
-
     /// Runs one basis and returns the failure count.
     ///
     /// Shots are processed in 64-lane bit-packed batches: each worker
@@ -690,153 +541,6 @@ impl MemoryExperiment {
             }
         })
     }
-
-    /// [`run_stream`](Self::run_stream) at an explicit [`LaneWidth`]:
-    /// both bases through the streaming pipeline with `width.lanes()`
-    /// shots per pass. Bit-identical to [`run_stream`](Self::run_stream)
-    /// at every width.
-    pub fn run_stream_wide(&self, config: &StreamConfig, width: LaneWidth) -> MemoryStats {
-        let failures_z = self.run_stream_basis_wide(Basis::Z, config, width);
-        let mut x_config = config.clone();
-        x_config.seed ^= 0x9E37_79B9_7F4A_7C15;
-        let failures_x = self.run_stream_basis_wide(Basis::X, &x_config, width);
-        MemoryStats {
-            shots: config.shard.shots_of(config.shots),
-            failures_z_memory: failures_z,
-            failures_x_memory: failures_x,
-        }
-    }
-
-    /// [`run_stream_basis`](Self::run_stream_basis) at an explicit
-    /// [`LaneWidth`]: the width dispatch point of the streaming path.
-    ///
-    /// Wide widths sample rounds through a
-    /// [`WideRoundStream`](crate::WideRoundStream) (or its sparse twin)
-    /// and *stripe* the decode: each base-width sub-word feeds its own
-    /// forked [`DecodeSession`](crate::DecodeSession), so sampling and
-    /// frame propagation run `width.words()` words wide while the
-    /// windowed decoder consumes the same 64-lane batches it always has.
-    /// Failure counts stay a pure function of `(shots, seed, shard)` —
-    /// width never changes them.
-    pub fn run_stream_basis_wide(
-        &self,
-        memory_basis: Basis,
-        config: &StreamConfig,
-        width: LaneWidth,
-    ) -> u64 {
-        match width {
-            LaneWidth::X64 => self.run_stream_basis(memory_basis, config),
-            LaneWidth::X256 => self.run_stream_basis_wide_impl::<4>(memory_basis, config),
-            LaneWidth::X512 => self.run_stream_basis_wide_impl::<8>(memory_basis, config),
-        }
-    }
-
-    fn run_stream_basis_wide_impl<const N: usize>(
-        &self,
-        memory_basis: Basis,
-        config: &StreamConfig,
-    ) -> u64 {
-        let threads = if config.threads == 0 {
-            available_threads(config.shots)
-        } else {
-            config.threads
-        };
-        let mut session_config = self.session_config(memory_basis);
-        if config.timeline_pinned {
-            session_config.timeline = config.session.timeline.clone();
-        }
-        session_config.window = config.session.window;
-        session_config.schedule = config.session.schedule.clone();
-        session_config.sparse = config.session.sparse;
-        let proto = session_config.open(1);
-        // Lanes carried by sub-word `j` of a `lanes`-lane pass.
-        let sub_lanes = |lanes: usize, j: usize| {
-            lanes
-                .saturating_sub(j * BitBatch::LANES)
-                .min(BitBatch::LANES)
-        };
-        if config.session.sparse {
-            return run_batches_shard_wide::<N, _, _>(
-                config.shots,
-                config.seed,
-                threads,
-                config.shard,
-                || {
-                    let proto = &proto;
-                    let mut stream = proto.wide_sparse_round_stream::<N>();
-                    move |rngs: &mut [StdRng; N], lanes: usize| {
-                        stream.begin(rngs, lanes);
-                        let mut sessions: Vec<_> = (0..stream.active_words())
-                            .map(|j| proto.fork(sub_lanes(lanes, j)))
-                            .collect();
-                        while let Some(event) = stream.next_event() {
-                            for (j, session) in sessions.iter_mut().enumerate() {
-                                while session.filled_rounds() < event.round {
-                                    let gap = event.round - session.filled_rounds();
-                                    session
-                                        .advance_silent(gap)
-                                        .expect("silent gap fits the stream");
-                                }
-                                // A sub-word with no activity this event
-                                // pushes zero words: push_round_sparse
-                                // leaves its windows clean, so the decode
-                                // matches the sub-word's own sparse run.
-                                session
-                                    .push_round_sparse(event.detectors, event.words_of(j))
-                                    .expect("event matches its own session layout");
-                            }
-                        }
-                        let true_obs = stream.true_observables();
-                        let mut failures = 0;
-                        for (j, mut session) in sessions.into_iter().enumerate() {
-                            let total = session.total_rounds();
-                            while session.filled_rounds() < total {
-                                let gap = total - session.filled_rounds();
-                                session
-                                    .advance_silent(gap)
-                                    .expect("silent tail fits the stream");
-                            }
-                            let predictions = session.finish().expect("all rounds pushed");
-                            failures += count_failures(
-                                &predictions,
-                                true_obs[j],
-                                BitBatch::mask_for(sub_lanes(lanes, j)),
-                            );
-                        }
-                        failures
-                    }
-                },
-            );
-        }
-        run_batches_shard_wide::<N, _, _>(config.shots, config.seed, threads, config.shard, || {
-            let proto = &proto;
-            let mut stream = proto.wide_round_stream::<N>();
-            move |rngs: &mut [StdRng; N], lanes: usize| {
-                stream.begin(rngs, lanes);
-                let mut sessions: Vec<_> = (0..stream.active_words())
-                    .map(|j| proto.fork(sub_lanes(lanes, j)))
-                    .collect();
-                while let Some(slice) = stream.next_round() {
-                    for (j, session) in sessions.iter_mut().enumerate() {
-                        session
-                            .push_round(slice.words_of(j))
-                            .expect("round stream matches its own session layout");
-                    }
-                }
-                let true_obs = stream.true_observables();
-                let mut failures = 0;
-                for (j, session) in sessions.into_iter().enumerate() {
-                    let predictions = session.finish().expect("all rounds pushed");
-                    failures += count_failures(
-                        &predictions,
-                        true_obs[j],
-                        BitBatch::mask_for(sub_lanes(lanes, j)),
-                    );
-                }
-                failures
-            }
-        })
-    }
 }
 
 /// Default worker-thread count for `shots` shots.
@@ -904,103 +608,6 @@ where
                     let lanes = (shots - first_shot).min(BitBatch::LANES as u64) as usize;
                     let mut rng = StdRng::seed_from_u64(splitmix64_stream(seed, index));
                     local += run_batch(&mut rng, lanes);
-                }
-                counter.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    });
-    counter.into_inner()
-}
-
-/// The width-`N` twin of [`count_failures`]: `predictions[j·64..]` holds
-/// sub-word `j`'s per-lane predictions (lane order preserved across
-/// sub-words, exactly as [`decode_wide_batch_with`] emits them), matched
-/// against that sub-word's true-observable and lane-mask words.
-fn count_failures_wide<const N: usize>(
-    predictions: &[u64],
-    true_obs: &[u64; N],
-    masks: &[u64; N],
-) -> u64 {
-    let mut failures = 0u64;
-    for (j, (&obs, &mask)) in true_obs.iter().zip(masks.iter()).enumerate() {
-        let mut predicted = 0u64;
-        let sub = predictions
-            .iter()
-            .skip(j * BitBatch::LANES)
-            .take(BitBatch::LANES);
-        for (lane, &p) in sub.enumerate() {
-            predicted |= (p & 1) << lane;
-        }
-        failures += u64::from(((predicted ^ obs) & mask).count_ones());
-    }
-    failures
-}
-
-/// The width-`N` twin of [`run_batches_shard`]: groups `N` consecutive
-/// *shard-owned* base batches into one wide pass.
-///
-/// Sub-word `j` of slot `s` is owned batch `s·N + j`, whose global index
-/// is `shard.index + (s·N + j)·shard.count` — each sub-word draws from
-/// exactly the SplitMix64 stream its base-width batch would, so failure
-/// counts are width-independent and shard counts still sum to the
-/// single-host result. Because owned indices ascend and the only partial
-/// global batch (the last) is necessarily a shard's *last* owned batch,
-/// grouping always yields the prefix-lane pattern [`WideBatch`] requires:
-/// full sub-words below the boundary, one partial boundary sub-word,
-/// nothing beyond. Inactive trailing sub-words get throwaway seeds that
-/// the lane count guarantees are never drawn.
-fn run_batches_shard_wide<const N: usize, S, F>(
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    shard: Shard,
-    setup: S,
-) -> u64
-where
-    S: Fn() -> F + Sync,
-    F: FnMut(&mut [StdRng; N], usize) -> u64,
-{
-    if shots == 0 {
-        return 0;
-    }
-    let base_lanes = BitBatch::LANES as u64;
-    let num_batches = shots.div_ceil(base_lanes);
-    let owned_batches = num_batches
-        .saturating_sub(shard.index)
-        .div_ceil(shard.count);
-    if owned_batches == 0 {
-        return 0;
-    }
-    let num_slots = owned_batches.div_ceil(N as u64);
-    let threads = threads.clamp(1, num_slots.min(1 << 16) as usize);
-    let next_slot = std::sync::atomic::AtomicU64::new(0);
-    let counter = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next_slot = &next_slot;
-            let counter = &counter;
-            let setup = &setup;
-            scope.spawn(move || {
-                let mut run_group = setup();
-                let mut local = 0u64;
-                loop {
-                    let slot = next_slot.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if slot >= num_slots {
-                        break;
-                    }
-                    let mut rngs: [StdRng; N] = std::array::from_fn(|_| StdRng::seed_from_u64(0));
-                    let mut lanes = 0usize;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let owned = slot * N as u64 + j as u64;
-                        if owned >= owned_batches {
-                            break;
-                        }
-                        let index = shard.index + owned * shard.count;
-                        let first_shot = index * base_lanes;
-                        lanes += (shots - first_shot).min(base_lanes) as usize;
-                        *rng = StdRng::seed_from_u64(splitmix64_stream(seed, index));
-                    }
-                    local += run_group(&mut rngs, lanes);
                 }
                 counter.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
             });
@@ -1166,69 +773,6 @@ mod tests {
         let stats = exp.run(200, 17);
         // Deformed d≈4 code still corrects most errors at p=1e-3.
         assert!(stats.p_fail_z() < 0.1, "{}", stats.p_fail_z());
-    }
-
-    #[test]
-    fn wide_run_matches_base_run_exactly() {
-        let mut exp = MemoryExperiment::standard(Patch::rotated(3));
-        exp.noise = NoiseParams::uniform(3e-3);
-        exp.rounds = 3;
-        // 150 shots: batches of 64 + 64 + 22 — a partial boundary
-        // sub-word inside one 256-lane slot.
-        let base = exp.run(150, 31);
-        let wide = exp.run_wide(150, 31, LaneWidth::X256);
-        assert_eq!(base, wide, "X256 must be bit-identical to the oracle");
-        let wider = exp.run_wide(150, 31, LaneWidth::X512);
-        assert_eq!(base, wider, "X512 must be bit-identical to the oracle");
-        assert_eq!(exp.run_wide(150, 31, LaneWidth::X64), base);
-    }
-
-    #[test]
-    fn wide_shards_sum_to_single_host_counts() {
-        let mut exp = MemoryExperiment::standard(Patch::rotated(3));
-        exp.noise = NoiseParams::uniform(3e-3);
-        exp.rounds = 3;
-        // 5 base batches over 3 shards: shard 0 owns {0, 3}, shard 1
-        // owns {1, 4 (partial)}, shard 2 owns {2} — exercises partial
-        // boundary sub-words and inactive trailing sub-words.
-        let shots = 300;
-        let whole = exp.run_wide(shots, 41, LaneWidth::X256);
-        let merged = (0..3)
-            .map(|i| exp.run_wide_shard(shots, 41, LaneWidth::X256, Shard::new(i, 3)))
-            .fold(MemoryStats::default(), MemoryStats::merge);
-        assert_eq!(whole, merged);
-        assert_eq!(whole, exp.run(shots, 41));
-    }
-
-    #[test]
-    fn wide_stream_run_matches_base_stream_run() {
-        let mut exp = MemoryExperiment::standard(Patch::rotated(3));
-        exp.noise = NoiseParams::uniform(3e-3);
-        exp.rounds = 3;
-        let config = StreamConfig::new(150, 37, exp.rounds + 1);
-        let base = exp.run_stream(&config);
-        assert_eq!(base, exp.run_stream_wide(&config, LaneWidth::X256));
-        let sparse = config.clone().with_sparse(true);
-        assert_eq!(base, exp.run_stream(&sparse));
-        assert_eq!(base, exp.run_stream_wide(&sparse, LaneWidth::X512));
-    }
-
-    #[test]
-    fn lane_width_accessors_and_parse() {
-        for (width, lanes, words) in [
-            (LaneWidth::X64, 64, 1),
-            (LaneWidth::X256, 256, 4),
-            (LaneWidth::X512, 512, 8),
-        ] {
-            assert_eq!(width.lanes(), lanes);
-            assert_eq!(width.words(), words);
-            assert_eq!(width.to_string(), lanes.to_string());
-            assert_eq!(LaneWidth::parse(&lanes.to_string()), Some(width));
-        }
-        assert_eq!(LaneWidth::parse(" 256 "), Some(LaneWidth::X256));
-        assert_eq!(LaneWidth::parse("128"), None);
-        assert_eq!(LaneWidth::parse(""), None);
-        assert_eq!(LaneWidth::default(), LaneWidth::X64);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! `p = 0`.
 
 use rand::Rng;
-use surf_pauli::{BitBatch, WideBatch};
+use surf_pauli::BitBatch;
 
 use crate::model::Channel;
 
@@ -58,53 +58,6 @@ pub fn bernoulli_mask<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
         bits >>= 1;
     }
     mask
-}
-
-/// The width-`N` twin of [`bernoulli_mask`]: draws one 64-lane Bernoulli
-/// mask per *active* sub-word, stream `j` drawing from `rngs[j]`.
-///
-/// The binary-expansion walk of `p` happens once for all streams (the
-/// per-bit loop overhead is amortised `N`-fold), but stream `j` consumes
-/// its RNG in exactly the order and count of a standalone
-/// `bernoulli_mask(rngs[j], p)` call — the per-lane-width seeding
-/// contract: a wide batch is bit-identical to `N` base-width batches run
-/// on the same seed streams. Streams `active..N` are never touched and
-/// their masks stay zero.
-pub fn bernoulli_masks_wide<R: Rng, const N: usize>(
-    rngs: &mut [R; N],
-    p: f64,
-    active: usize,
-) -> [u64; N] {
-    assert!(active <= N, "active {active} out of range 0..={N}");
-    let mut masks = [0u64; N];
-    if p <= 0.0 {
-        return masks;
-    }
-    let q = (p * (1u64 << 32) as f64).round() as u64;
-    if q == 0 {
-        return masks;
-    }
-    if p >= 1.0 || q >= 1 << 32 {
-        for m in masks.iter_mut().take(active) {
-            *m = u64::MAX;
-        }
-        return masks;
-    }
-    let tz = q.trailing_zeros();
-    let mut bits = q >> tz;
-    for _ in tz..32 {
-        if bits & 1 == 1 {
-            for (m, rng) in masks.iter_mut().zip(rngs.iter_mut()).take(active) {
-                *m |= rng.next_u64();
-            }
-        } else {
-            for (m, rng) in masks.iter_mut().zip(rngs.iter_mut()).take(active) {
-                *m &= rng.next_u64();
-            }
-        }
-        bits >>= 1;
-    }
-    masks
 }
 
 /// A deterministic natural logarithm for the geometric-skip hot path.
@@ -358,149 +311,6 @@ impl BatchSampler {
             }
         }
         obs_word & lane_mask
-    }
-
-    /// The width-`N` twin of [`sample_into`](Self::sample_into): fills a
-    /// `64·N`-lane [`WideBatch`] from `N` independent RNG streams and
-    /// returns one observable-flip word per sub-word.
-    ///
-    /// Sub-word `j` carries exactly the sample a standalone
-    /// `sample_into(&mut rngs[j], …)` call would produce for a base-width
-    /// batch of `lanes_of_word(j)` lanes: the group walk happens once per
-    /// batch (amortising channel-table traversal `N`-fold) and the mask
-    /// path builds all sub-word masks in one binary-expansion walk, but
-    /// each stream is consumed draw-for-draw in its base order. That is
-    /// the wide seeding contract — a width-`N` batch over seed streams
-    /// `g·N..g·N+N` is bit-identical to `N` base batches on those same
-    /// streams, so failure counts depend only on `(shots, seed)` and the
-    /// base lane width, never on `N`. Streams beyond the active sub-words
-    /// are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.num_bits()` differs from the model's detector
-    /// count.
-    pub fn sample_wide_into<R: Rng, const N: usize>(
-        &self,
-        rngs: &mut [R; N],
-        batch: &mut WideBatch<N>,
-    ) -> [u64; N] {
-        assert_eq!(
-            batch.num_bits(),
-            self.num_detectors,
-            "batch shape does not match the detector model"
-        );
-        batch.clear();
-        let active = batch.active_words();
-        let lane_masks = batch.lane_masks();
-        let mut obs = [0u64; N];
-        for g in &self.groups {
-            let num_channels = g.observable.len();
-            if g.geometric {
-                for (j, rng) in rngs.iter_mut().enumerate().take(active) {
-                    let lanes_j = batch.lanes_of_word(j);
-                    let obs_j = &mut obs[j];
-                    geometric_fires(rng, num_channels, lanes_j, g.inv_ln_q, |_, c, bit| {
-                        for &d in &g.dets[g.det_start[c] as usize..g.det_start[c + 1] as usize] {
-                            batch.xor_word_at(d as usize, j, bit);
-                        }
-                        if g.observable[c] {
-                            *obs_j ^= bit;
-                        }
-                    });
-                }
-            } else {
-                for c in 0..num_channels {
-                    let mut row = bernoulli_masks_wide(rngs, g.p, active);
-                    for (m, lm) in row.iter_mut().zip(lane_masks.iter()) {
-                        *m &= lm;
-                    }
-                    if row.iter().all(|&w| w == 0) {
-                        continue;
-                    }
-                    for &d in &g.dets[g.det_start[c] as usize..g.det_start[c + 1] as usize] {
-                        batch.xor_row(d as usize, row);
-                    }
-                    if g.observable[c] {
-                        for (o, m) in obs.iter_mut().zip(row.iter()) {
-                            *o ^= m;
-                        }
-                    }
-                }
-            }
-        }
-        for (o, lm) in obs.iter_mut().zip(lane_masks.iter()) {
-            *o &= lm;
-        }
-        obs
-    }
-
-    /// The width-`N` twin of [`sample_sparse`](Self::sample_sparse):
-    /// sub-word `j`'s firings land in `outs[j]`, drawn from `rngs[j]`
-    /// with the same per-stream draw order as
-    /// [`sample_wide_into`](Self::sample_wide_into)
-    /// (and therefore as `N` base-width `sample_sparse` calls). Returns
-    /// one observable word per sub-word.
-    pub fn sample_sparse_wide<R: Rng, const N: usize>(
-        &self,
-        rngs: &mut [R; N],
-        lanes: usize,
-        outs: &mut [SparseBatch; N],
-    ) -> [u64; N] {
-        assert!(
-            (1..=WideBatch::<N>::LANES).contains(&lanes),
-            "lanes {lanes} out of range 1..={}",
-            WideBatch::<N>::LANES
-        );
-        for out in outs.iter_mut() {
-            assert_eq!(
-                out.num_detectors(),
-                self.num_detectors,
-                "sparse batch shape does not match the detector model"
-            );
-            out.clear();
-        }
-        let lane_masks = WideBatch::<N>::masks_for(lanes);
-        let active = lanes.div_ceil(64);
-        let mut obs = [0u64; N];
-        for g in &self.groups {
-            let num_channels = g.observable.len();
-            if g.geometric {
-                for (j, rng) in rngs.iter_mut().enumerate().take(active) {
-                    let lanes_j = (lanes - 64 * j).min(64);
-                    let obs_j = &mut obs[j];
-                    let out = &mut outs[j];
-                    geometric_fires(rng, num_channels, lanes_j, g.inv_ln_q, |_, c, bit| {
-                        for &d in &g.dets[g.det_start[c] as usize..g.det_start[c + 1] as usize] {
-                            out.xor_word(d as usize, bit);
-                        }
-                        if g.observable[c] {
-                            *obs_j ^= bit;
-                        }
-                    });
-                }
-            } else {
-                for c in 0..num_channels {
-                    let row = bernoulli_masks_wide(rngs, g.p, active);
-                    for j in 0..active {
-                        let mask = row[j] & lane_masks[j];
-                        if mask == 0 {
-                            continue;
-                        }
-                        for &d in &g.dets[g.det_start[c] as usize..g.det_start[c + 1] as usize] {
-                            outs[j].xor_word(d as usize, mask);
-                        }
-                        if g.observable[c] {
-                            obs[j] ^= mask;
-                        }
-                    }
-                }
-            }
-        }
-        for (o, lm) in obs.iter_mut().zip(lane_masks.iter()) {
-            *o &= lm;
-        }
-        obs
     }
 
     /// The sparse twin of [`sample_into`](Self::sample_into): runs the
@@ -836,108 +646,6 @@ mod tests {
         // Re-use after clear starts from a clean slate.
         sparse.xor_word(3, 1);
         assert_eq!(sparse.touched(), &[3]);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j is a stream index shared by seeds, arrays, and messages
-    fn wide_masks_match_per_stream_base_masks() {
-        for &p in &[0.25, 0.5, 0.75, 0.9] {
-            let mut rngs: [StdRng; 3] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(900 + j as u64));
-            let wide = bernoulli_masks_wide(&mut rngs, p, 2);
-            for j in 0..2 {
-                let mut base = StdRng::seed_from_u64(900 + j as u64);
-                assert_eq!(wide[j], bernoulli_mask(&mut base, p), "p {p} stream {j}");
-            }
-            // Stream 2 is beyond `active`: mask zero, RNG untouched.
-            assert_eq!(wide[2], 0);
-            let mut fresh = StdRng::seed_from_u64(902);
-            assert_eq!(rngs[2].gen::<u64>(), fresh.gen::<u64>());
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j is a sub-word index shared by seeds, arrays, and messages
-    fn wide_sampling_matches_base_batches_bit_for_bit() {
-        // Mixed geometric and mask groups across full, partial-word, and
-        // single-word wide lane counts: sub-word j of the wide batch must
-        // equal the base-width batch sampled from the same seed stream.
-        let channels = vec![
-            channel(vec![0, 1], true, 0.01),
-            channel(vec![2], false, 0.5),
-            channel(vec![1, 3], true, 0.03),
-            channel(vec![4], true, 0.5),
-        ];
-        let sampler = BatchSampler::new(&channels, 5);
-        for &lanes in &[256usize, 200, 70, 64, 3] {
-            let mut rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(100 + j as u64));
-            let mut wide = WideBatch::<4>::with_lanes(5, lanes);
-            for step in 0..20 {
-                let obs = sampler.sample_wide_into(&mut rngs, &mut wide);
-                for j in 0..lanes.div_ceil(64) {
-                    let lanes_j = (lanes - 64 * j).min(64);
-                    let mut base_rng = StdRng::seed_from_u64(100 + j as u64);
-                    let mut base = BitBatch::with_lanes(5, lanes_j);
-                    let mut obs_base = 0;
-                    // Replay the stream from its seed up to this step.
-                    for _ in 0..=step {
-                        obs_base = sampler.sample_into(&mut base_rng, &mut base);
-                    }
-                    assert_eq!(obs[j], obs_base, "lanes {lanes} step {step} word {j}");
-                    for d in 0..5 {
-                        assert_eq!(
-                            wide.word_at(d, j),
-                            base.word(d),
-                            "lanes {lanes} step {step} word {j} det {d}"
-                        );
-                    }
-                }
-                for j in lanes.div_ceil(64)..4 {
-                    assert_eq!(obs[j], 0, "inactive sub-word {j} has a dirty obs word");
-                    for d in 0..5 {
-                        assert_eq!(wide.word_at(d, j), 0, "inactive sub-word {j} dirty");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j is a sub-word index shared by seeds, arrays, and messages
-    fn wide_sparse_matches_wide_dense_bit_for_bit() {
-        let channels = vec![
-            channel(vec![0, 1], true, 0.01),
-            channel(vec![2], false, 0.5),
-            channel(vec![1, 3], true, 0.03),
-        ];
-        let sampler = BatchSampler::new(&channels, 4);
-        for &lanes in &[256usize, 130, 64] {
-            let mut dense_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(40 + j as u64));
-            let mut sparse_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(40 + j as u64));
-            let mut wide = WideBatch::<4>::with_lanes(4, lanes);
-            let mut outs: [SparseBatch; 4] = std::array::from_fn(|_| SparseBatch::new(4));
-            for step in 0..100 {
-                let obs_dense = sampler.sample_wide_into(&mut dense_rngs, &mut wide);
-                let obs_sparse = sampler.sample_sparse_wide(&mut sparse_rngs, lanes, &mut outs);
-                assert_eq!(obs_dense, obs_sparse, "lanes {lanes} step {step}");
-                for j in 0..4 {
-                    for d in 0..4 {
-                        assert_eq!(
-                            wide.word_at(d, j),
-                            outs[j].word(d),
-                            "lanes {lanes} step {step} word {j} det {d}"
-                        );
-                    }
-                }
-            }
-            // Both RNG banks stayed in lockstep throughout.
-            for j in 0..4 {
-                assert_eq!(dense_rngs[j].gen::<u64>(), sparse_rngs[j].gen::<u64>());
-            }
-        }
     }
 
     #[test]

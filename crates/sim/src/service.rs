@@ -596,34 +596,6 @@ impl DecodeSession {
         }
     }
 
-    /// The width-`N` twin of [`round_stream`](Self::round_stream):
-    /// samples `N·64` shot lanes per pass and emits per-sub-word word
-    /// slices ([`WideRoundSlice::words_of`](crate::WideRoundSlice::words_of)),
-    /// each shaped exactly for one forked base-width session's
-    /// [`push_round`](Self::push_round).
-    pub fn wide_round_stream<const N: usize>(&self) -> crate::stream::WideRoundStream<N> {
-        match &self.shared.model {
-            SessionModel::Mono(tm) => crate::stream::WideRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => crate::stream::WideRoundStream::for_periodic(pm),
-        }
-    }
-
-    /// The width-`N` twin of
-    /// [`sparse_round_stream`](Self::sparse_round_stream): events are the
-    /// union of firing rounds across sub-words, to be striped into `N`
-    /// forked sessions via
-    /// [`push_round_sparse`](Self::push_round_sparse).
-    pub fn wide_sparse_round_stream<const N: usize>(
-        &self,
-    ) -> crate::stream::WideSparseRoundStream<N> {
-        match &self.shared.model {
-            SessionModel::Mono(tm) => crate::stream::WideSparseRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => {
-                crate::stream::WideSparseRoundStream::for_periodic(Arc::clone(pm))
-            }
-        }
-    }
-
     /// Consumes the next round's detector words (`words[i]` is the
     /// 64-lane firing word of `self.detectors_of(round)[i]`), decodes
     /// every window now complete, and reports the committed horizon,

@@ -17,20 +17,20 @@
 //!
 //! # Periodic sources
 //!
-//! Every stream can also be built over a [`PeriodicModel`]
-//! (`for_periodic`). The sparse streams then sample straight from the
+//! Both streams can also be built over a [`PeriodicModel`]
+//! (`for_periodic`). The sparse stream then samples straight from the
 //! compressed per-round template — resident state O(epochs), not
 //! O(rounds), while consuming the RNG draw-for-draw identically to the
 //! monolithic sampler — which is what makes 10⁶-round horizons stream.
-//! The dense streams expand the template once at construction (dense
-//! replay materialises O(rounds) detector words by nature) and are
+//! The dense stream expands the template once at construction (dense
+//! replay materialises O(rounds) detector words by nature) and is
 //! bit-identical thereafter.
 
 use std::sync::Arc;
 
 use rand::Rng;
 use surf_matching::RoundModelSource;
-use surf_pauli::{BitBatch, WideBatch};
+use surf_pauli::BitBatch;
 
 use crate::model::DetectorModel;
 use crate::periodic::{PeriodicEvent, PeriodicModel, PeriodicScratch};
@@ -39,8 +39,7 @@ use crate::timeline::TimelineModel;
 
 /// Detector ids sorted by round plus the per-round span table:
 /// round `r` owns `order[round_start[r]..round_start[r + 1]]`. Returns
-/// `(order, round_start, total_rounds)` — shared by the base and wide
-/// dense streams.
+/// `(order, round_start, total_rounds)`.
 fn round_index(model: &DetectorModel) -> (Vec<u32>, Vec<usize>, u32) {
     let total_rounds = model
         .detector_rounds
@@ -64,9 +63,9 @@ fn round_index(model: &DetectorModel) -> (Vec<u32>, Vec<usize>, u32) {
 }
 
 /// The [`round_index`] of a periodic model's *expanded* horizon. Only the
-/// dense streams use this — dense replay materialises every round's words
-/// anyway, so the O(rounds) tables are not a new cost class. Sparse
-/// streams stay on the compressed template.
+/// dense stream uses this — dense replay materialises every round's words
+/// anyway, so the O(rounds) tables are not a new cost class. The sparse
+/// stream stays on the compressed template.
 fn periodic_round_index(model: &PeriodicModel) -> (Vec<u32>, Vec<usize>, u32) {
     let total_rounds = RoundModelSource::total_rounds(model);
     let n = RoundModelSource::num_detectors(model);
@@ -486,418 +485,6 @@ impl SparseRoundStream {
     }
 }
 
-/// The detector words of one round of one `64·N`-lane wide shot batch.
-///
-/// `detectors[i]` fired (in sub-word `j`'s shots) where the lane bits of
-/// [`words_of(j)`](Self::words_of)`[i]` are set. Sub-word `j` of a wide
-/// stream carries exactly the shots of base batch `g·N + j`, so a striped
-/// consumer can feed `words_of(j)` to an ordinary 64-lane session.
-#[derive(Debug)]
-pub struct WideRoundSlice<'a> {
-    /// The QEC round (final-readout comparisons appear as round `rounds`).
-    pub round: u32,
-    /// Global detector indices belonging to this round.
-    pub detectors: &'a [u32],
-    /// Per-sub-word firing-word stores; the slice's entries live at
-    /// `words[j][span]`, aligned with `detectors`.
-    words: &'a [Vec<u64>],
-    span: std::ops::Range<usize>,
-}
-
-impl WideRoundSlice<'_> {
-    /// The 64-lane firing words of sub-word `j`, aligned with
-    /// [`detectors`](Self::detectors).
-    pub fn words_of(&self, j: usize) -> &[u64] {
-        &self.words[j][self.span.clone()]
-    }
-
-    /// Number of sub-words (`N`).
-    pub fn width(&self) -> usize {
-        self.words.len()
-    }
-}
-
-/// The width-`N` twin of [`RoundStream`]: samples one `64·N`-lane
-/// [`WideBatch`] through [`BatchSampler::sample_wide_into`] (one channel
-/// walk per `64·N` shots) and replays it round-major as
-/// [`WideRoundSlice`]s. Sub-word `j` draws from `rngs[j]` with the base
-/// stream's exact draw order, so `words_of(j)` replays bit-for-bit what a
-/// base [`RoundStream`] seeded from stream `j` would emit.
-pub struct WideRoundStream<const N: usize> {
-    sampler: BatchSampler,
-    /// Detector ids sorted by round; round `r` owns
-    /// `order[round_start[r]..round_start[r + 1]]`.
-    order: Vec<u32>,
-    round_start: Vec<usize>,
-    /// One past the largest round label.
-    total_rounds: u32,
-    /// The current in-flight batch (shot-major backing store).
-    batch: WideBatch<N>,
-    /// True observable-flip words of the current batch, one per sub-word.
-    true_observables: [u64; N],
-    /// Next round to emit.
-    cursor: u32,
-    /// Scratch for the emitted per-round words, one `Vec` per sub-word.
-    words: Vec<Vec<u64>>,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-impl<const N: usize> WideRoundStream<N> {
-    /// Builds a wide stream over `model`'s channels and detector rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let (order, round_start, total_rounds) = round_index(model);
-        WideRoundStream {
-            sampler: model.batch_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: WideBatch::zeros(model.num_detectors),
-            true_observables: [0; N],
-            cursor: total_rounds,
-            words: (0..N).map(|_| Vec::new()).collect(),
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = WideRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a wide dense stream over a [`PeriodicModel`] by expanding
-    /// its template once; see [`RoundStream::for_periodic`].
-    pub fn for_periodic(model: &PeriodicModel) -> Self {
-        let (order, round_start, total_rounds) = periodic_round_index(model);
-        WideRoundStream {
-            sampler: model.monolithic_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: WideBatch::zeros(model.num_detectors()),
-            true_observables: [0; N],
-            cursor: total_rounds,
-            words: (0..N).map(|_| Vec::new()).collect(),
-            boundaries: model.deformation_rounds(),
-        }
-    }
-
-    /// Number of rounds each batch is emitted over.
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh wide batch of `lanes` shots (sub-word `j` from
-    /// `rngs[j]`) and rewinds the round cursor.
-    pub fn begin<R: Rng>(&mut self, rngs: &mut [R; N], lanes: usize) {
-        self.batch.set_lanes(lanes);
-        self.true_observables = self.sampler.sample_wide_into(rngs, &mut self.batch);
-        self.cursor = 0;
-    }
-
-    /// Emits the next round of the current batch, or `None` when the
-    /// batch is exhausted (call [`begin`](Self::begin) again).
-    pub fn next_round(&mut self) -> Option<WideRoundSlice<'_>> {
-        if self.cursor >= self.total_rounds {
-            return None;
-        }
-        let round = self.cursor;
-        self.cursor += 1;
-        let span = self.round_start[round as usize]..self.round_start[round as usize + 1];
-        let detectors = &self.order[span];
-        for (j, words) in self.words.iter_mut().enumerate() {
-            words.clear();
-            words.extend(detectors.iter().map(|&d| self.batch.word_at(d as usize, j)));
-        }
-        let len = detectors.len();
-        Some(WideRoundSlice {
-            round,
-            detectors,
-            words: &self.words,
-            span: 0..len,
-        })
-    }
-
-    /// True observable-flip words of the current batch, one per sub-word.
-    pub fn true_observables(&self) -> [u64; N] {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.batch.lanes()
-    }
-
-    /// Number of sub-words holding at least one active lane.
-    pub fn active_words(&self) -> usize {
-        self.batch.active_words()
-    }
-}
-
-/// The width-`N` twin of [`SparseRoundStream`]: samples sub-word `j`'s
-/// firings into its own touched-set scratch via
-/// [`BatchSampler::sample_sparse_wide`], then merges the sub-words'
-/// firing detectors into one ascending (round, id) event list. An event's
-/// [`words_of(j)`](WideRoundSlice::words_of) may be all-zero when only
-/// other sub-words fired that round — a striped 64-lane consumer treats
-/// such a push as a silent round.
-pub struct WideSparseRoundStream<const N: usize> {
-    source: WideSparseSource<N>,
-    /// One past the largest round label.
-    total_rounds: u32,
-    true_observables: [u64; N],
-    lanes: usize,
-    /// Detectors firing in any sub-word, sorted by (round, id).
-    dets: Vec<u32>,
-    /// Per-sub-word defect words, `words[j]` aligned with `dets`.
-    words: Vec<Vec<u64>>,
-    /// `(round, start offset into dets/words)` per firing round.
-    events: Vec<(u32, u32)>,
-    /// Next event to emit.
-    cursor: usize,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-/// Sampling backend of a [`WideSparseRoundStream`].
-enum WideSparseSource<const N: usize> {
-    /// Whole-horizon monolithic sampler plus its O(rounds) round table.
-    Mono {
-        sampler: BatchSampler,
-        /// Round label of each detector.
-        rounds_of: Vec<u32>,
-        /// Per-sub-word touched-set sampling scratch, reused across batches.
-        scratch: [SparseBatch; N],
-    },
-    /// Compressed periodic template sampled scalar per sub-word — the
-    /// wide sampler's draw order is exactly one full scalar pass per
-    /// sub-word, so this stays bit-identical to the monolithic wide path.
-    Periodic {
-        model: Arc<PeriodicModel>,
-        /// One scratch per sub-word (`N` entries).
-        scratch: Vec<PeriodicScratch>,
-        /// Per-sub-word firings, each sorted by (round, det).
-        fired: Vec<Vec<PeriodicEvent>>,
-    },
-}
-
-impl<const N: usize> WideSparseRoundStream<N> {
-    /// Builds a wide sparse stream over `model`'s channels and rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let total_rounds = model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        WideSparseRoundStream {
-            source: WideSparseSource::Mono {
-                sampler: model.batch_sampler(),
-                rounds_of: model.detector_rounds.clone(),
-                scratch: std::array::from_fn(|_| SparseBatch::new(model.num_detectors)),
-            },
-            total_rounds,
-            true_observables: [0; N],
-            lanes: 0,
-            dets: Vec::new(),
-            words: (0..N).map(|_| Vec::new()).collect(),
-            events: Vec::new(),
-            cursor: 0,
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = WideSparseRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a wide sparse stream straight over a [`PeriodicModel`]
-    /// template; see [`SparseRoundStream::for_periodic`].
-    pub fn for_periodic(model: Arc<PeriodicModel>) -> Self {
-        WideSparseRoundStream {
-            total_rounds: RoundModelSource::total_rounds(&*model),
-            boundaries: model.deformation_rounds(),
-            source: WideSparseSource::Periodic {
-                model,
-                scratch: (0..N).map(|_| PeriodicScratch::default()).collect(),
-                fired: (0..N).map(|_| Vec::new()).collect(),
-            },
-            true_observables: [0; N],
-            lanes: 0,
-            dets: Vec::new(),
-            words: (0..N).map(|_| Vec::new()).collect(),
-            events: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Number of rounds each batch spans — silent ones included, though
-    /// never emitted.
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh wide batch of `lanes` shots (sub-word `j` from
-    /// `rngs[j]`, draw-for-draw identical to the dense wide stream) and
-    /// indexes the union of firings by round.
-    pub fn begin<R: Rng>(&mut self, rngs: &mut [R; N], lanes: usize) {
-        self.lanes = lanes;
-        self.dets.clear();
-        for words in self.words.iter_mut() {
-            words.clear();
-        }
-        self.events.clear();
-        self.cursor = 0;
-        match &mut self.source {
-            WideSparseSource::Mono {
-                sampler,
-                rounds_of,
-                scratch,
-            } => {
-                self.true_observables = sampler.sample_sparse_wide(rngs, lanes, scratch);
-                for scratch in scratch.iter() {
-                    self.dets.extend(
-                        scratch
-                            .touched()
-                            .iter()
-                            .copied()
-                            .filter(|&d| scratch.word(d as usize) != 0),
-                    );
-                }
-                self.dets
-                    .sort_unstable_by_key(|&d| (rounds_of[d as usize], d));
-                self.dets.dedup();
-                for &d in &self.dets {
-                    let round = rounds_of[d as usize];
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.words[0].len() as u32));
-                    }
-                    for (j, words) in self.words.iter_mut().enumerate() {
-                        words.push(scratch[j].word(d as usize));
-                    }
-                }
-            }
-            WideSparseSource::Periodic {
-                model,
-                scratch,
-                fired,
-            } => {
-                // One scalar template pass per active sub-word — the wide
-                // sampler's draw order is exactly this, so sub-word j
-                // replays bit-for-bit what a base stream seeded from
-                // rngs[j] would.
-                let active = lanes.div_ceil(64).min(N);
-                self.true_observables = [0; N];
-                for (j, (rng, fired)) in rngs.iter_mut().zip(fired.iter_mut()).enumerate() {
-                    fired.clear();
-                    if j < active {
-                        let sub_lanes = (lanes - 64 * j).min(64);
-                        self.true_observables[j] =
-                            model.sample_sparse_into(rng, sub_lanes, &mut scratch[j], fired);
-                    }
-                }
-                // Union of firings across sub-words, ascending (round, id).
-                let mut keys: Vec<(u32, u32)> = fired
-                    .iter()
-                    .flat_map(|f| f.iter().map(|e| (e.round, e.det)))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for &(round, det) in &keys {
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.dets.len() as u32));
-                    }
-                    self.dets.push(det);
-                }
-                // Merge-walk each sub-word's sorted firings against the
-                // union to align its words with `dets` (absent → 0).
-                for (j, words) in self.words.iter_mut().enumerate() {
-                    let mut it = fired[j].iter().peekable();
-                    for &(round, det) in &keys {
-                        let w = match it.peek() {
-                            Some(e) if (e.round, e.det) == (round, det) => {
-                                let w = e.word;
-                                it.next();
-                                w
-                            }
-                            _ => 0,
-                        };
-                        words.push(w);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emits the next firing round of the current batch, or `None` when
-    /// the batch is exhausted. Every emitted slice fires in at least one
-    /// sub-word; rounds between consecutive events are syndrome-silent
-    /// across all lanes of all sub-words.
-    pub fn next_event(&mut self) -> Option<WideRoundSlice<'_>> {
-        if self.cursor >= self.events.len() {
-            return None;
-        }
-        let (round, start) = self.events[self.cursor];
-        let end = self
-            .events
-            .get(self.cursor + 1)
-            .map_or(self.dets.len(), |&(_, s)| s as usize);
-        self.cursor += 1;
-        Some(WideRoundSlice {
-            round,
-            detectors: &self.dets[start as usize..end],
-            words: &self.words,
-            span: start as usize..end,
-        })
-    }
-
-    /// True observable-flip words of the current batch, one per sub-word.
-    pub fn true_observables(&self) -> [u64; N] {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of sub-words holding at least one active lane.
-    pub fn active_words(&self) -> usize {
-        self.lanes.div_ceil(64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,91 +579,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide_stream_replays_base_streams_bit_for_bit() {
-        let m = model(3, 5, 1e-3);
-        let mut wide = WideRoundStream::<4>::new(&m);
-        for &lanes in &[256usize, 140, 64] {
-            let mut rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(55 + j as u64));
-            wide.begin(&mut rngs, lanes);
-            let active = lanes.div_ceil(64);
-            assert_eq!(wide.active_words(), active);
-            // Base replays of each sub-word's stream from its own seed.
-            let mut bases: Vec<RoundStream> = (0..active).map(|_| RoundStream::new(&m)).collect();
-            for (j, base) in bases.iter_mut().enumerate() {
-                let mut rng = StdRng::seed_from_u64(55 + j as u64);
-                base.begin(&mut rng, (lanes - 64 * j).min(64));
-                assert_eq!(
-                    wide.true_observables()[j],
-                    base.true_observables(),
-                    "lanes {lanes} word {j}"
-                );
-            }
-            while let Some(slice) = wide.next_round() {
-                assert_eq!(slice.width(), 4);
-                for (j, base) in bases.iter_mut().enumerate() {
-                    let base_slice = base.next_round().expect("same round count");
-                    assert_eq!(base_slice.round, slice.round);
-                    assert_eq!(base_slice.detectors, slice.detectors);
-                    assert_eq!(
-                        base_slice.words,
-                        slice.words_of(j),
-                        "lanes {lanes} round {} word {j}",
-                        slice.round
-                    );
-                }
-            }
-            for base in bases.iter_mut() {
-                assert!(base.next_round().is_none(), "wide stream ended early");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_sparse_stream_matches_wide_dense_stream() {
-        let m = model(3, 6, 1e-3);
-        let mut dense = WideRoundStream::<4>::new(&m);
-        let mut sparse = WideSparseRoundStream::<4>::new(&m);
-        assert_eq!(sparse.total_rounds(), dense.total_rounds());
-        for (seed, lanes) in [(99u64, 256usize), (7, 256), (13, 130)] {
-            let mut dense_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            let mut sparse_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            dense.begin(&mut dense_rngs, lanes);
-            sparse.begin(&mut sparse_rngs, lanes);
-            assert_eq!(sparse.lanes(), lanes);
-            assert_eq!(sparse.true_observables(), dense.true_observables());
-            let mut last = None;
-            while let Some(slice) = dense.next_round() {
-                // A round is an event iff any sub-word fired.
-                let firing: Vec<(u32, [u64; 4])> = slice
-                    .detectors
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (d, std::array::from_fn(|j| slice.words_of(j)[i])))
-                    .filter(|&(_, row)| row != [0; 4])
-                    .collect();
-                if firing.is_empty() {
-                    continue;
-                }
-                let event = sparse.next_event().expect("firing round must be emitted");
-                assert!(last < Some(event.round), "events must ascend");
-                last = Some(event.round);
-                assert_eq!(event.round, slice.round);
-                let got: Vec<(u32, [u64; 4])> = event
-                    .detectors
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (d, std::array::from_fn(|j| event.words_of(j)[i])))
-                    .collect();
-                assert_eq!(got, firing, "round {}", slice.round);
-            }
-            assert!(sparse.next_event().is_none(), "no spurious events");
-        }
-    }
-
     fn periodic_pair(rounds: u32, p: f64) -> (TimelineModel, Arc<PeriodicModel>) {
         use surf_defects::DefectSchedule;
         use surf_deformer_core::PatchTimeline;
@@ -1154,71 +656,6 @@ mod tests {
             }
         }
         assert_eq!(mono_rng.gen::<u64>(), per_rng.gen::<u64>());
-    }
-
-    #[test]
-    fn periodic_wide_sparse_stream_matches_monolithic() {
-        let (mono, per) = periodic_pair(48, 1e-3);
-        let mut m = WideSparseRoundStream::<4>::for_timeline(&mono);
-        let mut p = WideSparseRoundStream::<4>::for_periodic(Arc::clone(&per));
-        assert_eq!(p.total_rounds(), m.total_rounds());
-        for (seed, lanes) in [(99u64, 256usize), (7, 130), (13, 64)] {
-            let mut mono_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            let mut per_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            m.begin(&mut mono_rngs, lanes);
-            p.begin(&mut per_rngs, lanes);
-            assert_eq!(p.lanes(), lanes);
-            assert_eq!(p.true_observables(), m.true_observables(), "seed {seed}");
-            loop {
-                match (m.next_event(), p.next_event()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.round, b.round, "seed {seed}");
-                        assert_eq!(a.detectors, b.detectors, "round {}", a.round);
-                        for j in 0..4 {
-                            assert_eq!(a.words_of(j), b.words_of(j), "round {} word {j}", a.round);
-                        }
-                    }
-                    _ => panic!("event streams diverged at seed {seed}"),
-                }
-            }
-            for j in 0..4 {
-                assert_eq!(
-                    mono_rngs[j].gen::<u64>(),
-                    per_rngs[j].gen::<u64>(),
-                    "seed {seed} word {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn periodic_wide_dense_stream_matches_monolithic() {
-        let (mono, per) = periodic_pair(40, 5e-3);
-        let mut m = WideRoundStream::<2>::for_timeline(&mono);
-        let mut p = WideRoundStream::<2>::for_periodic(&per);
-        let mut mono_rngs: [StdRng; 2] =
-            std::array::from_fn(|j| StdRng::seed_from_u64(3 + j as u64));
-        let mut per_rngs: [StdRng; 2] =
-            std::array::from_fn(|j| StdRng::seed_from_u64(3 + j as u64));
-        m.begin(&mut mono_rngs, 128);
-        p.begin(&mut per_rngs, 128);
-        assert_eq!(p.true_observables(), m.true_observables());
-        loop {
-            match (m.next_round(), p.next_round()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.round, b.round);
-                    assert_eq!(a.detectors, b.detectors);
-                    for j in 0..2 {
-                        assert_eq!(a.words_of(j), b.words_of(j), "round {} word {j}", a.round);
-                    }
-                }
-                _ => panic!("round streams diverged"),
-            }
-        }
     }
 
     #[test]

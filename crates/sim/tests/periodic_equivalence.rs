@@ -21,8 +21,7 @@ use surf_defects::{DefectDetector, DefectEpisode, DefectEvent, DefectMap, Defect
 use surf_deformer_core::{EnlargeBudget, PatchTimeline};
 use surf_lattice::{Basis, Coord, Patch};
 use surf_sim::{
-    DecoderKind, DecoderPrior, LaneWidth, MemoryExperiment, NoiseParams, PeriodicModel, Shard,
-    StreamConfig,
+    DecoderKind, DecoderPrior, MemoryExperiment, NoiseParams, PeriodicModel, Shard, StreamConfig,
 };
 
 fn threads() -> usize {
@@ -183,24 +182,6 @@ fn periodic_counts_are_thread_and_shard_independent() {
         .map(|k| exp.run_stream_basis(Basis::Z, &config.clone().with_shard(Shard::new(k, 2))))
         .sum();
     assert_eq!(merged, reference, "shards must merge exactly");
-}
-
-#[test]
-fn wide_lanes_match_the_scalar_periodic_path() {
-    // The 256/512-lane sparse streams sample the template per sub-word;
-    // counts must equal the 64-lane path at the same (shots, seed).
-    let mut exp = MemoryExperiment::standard(Patch::rotated(3));
-    exp.rounds = 60;
-    exp.noise = NoiseParams::uniform(2e-3);
-    let config = StreamConfig::new(512, 0x11DE, 6).with_sparse(true);
-    let scalar = exp.run_stream_basis(Basis::Z, &config);
-    for width in [LaneWidth::X256, LaneWidth::X512] {
-        assert_eq!(
-            exp.run_stream_basis_wide(Basis::Z, &config, width),
-            scalar,
-            "{width:?}"
-        );
-    }
 }
 
 proptest! {

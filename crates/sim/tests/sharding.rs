@@ -7,7 +7,7 @@
 //! shards' failure counts sum to the unsharded count, bit for bit.
 
 use surf_lattice::{Basis, Patch};
-use surf_sim::{MemoryExperiment, MemoryStats, NoiseParams, Shard};
+use surf_sim::{MemoryExperiment, MemoryStats, NoiseParams, Shard, StreamConfig};
 
 fn experiment() -> MemoryExperiment {
     let mut exp = MemoryExperiment::standard(Patch::rotated(3));
@@ -19,20 +19,32 @@ fn experiment() -> MemoryExperiment {
 #[test]
 fn shards_merge_to_the_unsharded_count_exactly() {
     let exp = experiment();
-    // 500 shots = 7 full batches + a partial tail batch: shards split
-    // unevenly and one shard owns the tail.
-    let shots = 500;
-    let reference = exp.run_basis(Basis::Z, shots, 42);
-    for count in [2u64, 3, 16] {
-        let mut merged = 0;
-        let mut owned = 0;
-        for index in 0..count {
-            let shard = Shard::new(index, count);
-            merged += exp.run_basis_shard(Basis::Z, shots, 42, shard);
-            owned += shard.shots_of(shots);
+    // Every tail alignment a 64-lane batch can end on: a lone partial
+    // batch, exact multiples, one-past boundaries, and 500 shots = 7 full
+    // batches + a partial tail, where shards split unevenly and one shard
+    // owns the tail. Both the whole-history and the streamed runner must
+    // hand the partial tail to exactly one shard.
+    for shots in [1u64, 63, 64, 65, 127, 128, 129, 500] {
+        let reference = exp.run_basis(Basis::Z, shots, 42);
+        let stream = StreamConfig::new(shots, 42, 2 * exp.rounds);
+        let stream_reference = exp.run_stream_basis(Basis::Z, &stream);
+        for count in [2u64, 3, 16] {
+            let mut merged = 0;
+            let mut stream_merged = 0;
+            let mut owned = 0;
+            for index in 0..count {
+                let shard = Shard::new(index, count);
+                merged += exp.run_basis_shard(Basis::Z, shots, 42, shard);
+                stream_merged += exp.run_stream_basis(Basis::Z, &stream.clone().with_shard(shard));
+                owned += shard.shots_of(shots);
+            }
+            assert_eq!(merged, reference, "{shots} shots, {count}-way shard");
+            assert_eq!(
+                stream_merged, stream_reference,
+                "{shots} shots, {count}-way streamed shard"
+            );
+            assert_eq!(owned, shots, "{shots} shots, {count}-way shot partition");
         }
-        assert_eq!(merged, reference, "{count}-way shard");
-        assert_eq!(owned, shots, "{count}-way shot partition");
     }
 }
 
@@ -76,4 +88,19 @@ fn shard_parsing() {
     assert_eq!(Shard::parse("1"), None);
     assert_eq!(Shard::parse("a/b"), None);
     assert_eq!(format!("{}", Shard::new(1, 8)), "1/8");
+}
+
+#[test]
+fn shards_only_exist_inside_their_count() {
+    let shard = Shard::new(2, 3);
+    assert_eq!((shard.index(), shard.count()), (2, 3));
+    assert_eq!(Shard::solo(), Shard::new(0, 1));
+    // A zero count would never finish a run and an index past the count
+    // would silently repeat another shard's batches: neither constructs.
+    assert_eq!(Shard::parse("0/0"), None);
+    assert_eq!(Shard::parse("5/3"), None);
+    for (index, count) in [(0u64, 0u64), (5, 3), (3, 3)] {
+        let built = std::panic::catch_unwind(|| Shard::new(index, count));
+        assert!(built.is_err(), "Shard::new({index}, {count}) must panic");
+    }
 }

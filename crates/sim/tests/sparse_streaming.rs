@@ -64,6 +64,9 @@ fn sparse_run_matches_dense_run_mwpm() {
     for seed in [1u64, 29, 997] {
         assert_sparse_matches_dense(&exp, StreamConfig::new(320, seed, 2 * D as u32));
     }
+    // A partial tail batch (150 = 64 + 64 + 22 shots) under one
+    // full-history window.
+    assert_sparse_matches_dense(&exp, StreamConfig::new(150, 37, ROUNDS + 1));
 }
 
 #[test]

@@ -62,16 +62,16 @@ pub mod prelude {
     };
     pub use surf_lattice::{diff_stabilizers, Basis, BoundarySide, Coord, Distances, Patch};
     pub use surf_layout::{LayoutParams, LayoutScheme, ThroughputSim};
-    pub use surf_matching::{decode_wide_batch, decode_wide_batch_with, DecodeWorkspace};
     pub use surf_matching::{
-        Decoder, GraphEpoch, MwpmDecoder, UnionFindDecoder, WindowConfig, WindowedDecoder,
+        DecodeWorkspace, Decoder, GraphEpoch, MwpmDecoder, UnionFindDecoder, WindowConfig,
+        WindowedDecoder,
     };
-    pub use surf_pauli::{BitBatch, WideBatch};
+    pub use surf_pauli::BitBatch;
     pub use surf_programs::{Calibration, StrategyKind};
     pub use surf_service::{Daemon, DaemonConfig, ServiceClient, SessionSpec};
     pub use surf_sim::{
         Availability, BatchSampler, DecodeSession, DecoderKind, DecoderPrior, DetectorRemap,
-        LaneWidth, MemoryExperiment, NoiseParams, RoundStream, SessionConfig, SessionOutput, Shard,
-        StreamConfig, TimelineModel, WideRoundStream, WideSparseRoundStream,
+        MemoryExperiment, NoiseParams, RoundStream, SessionConfig, SessionOutput, Shard,
+        StreamConfig, TimelineModel,
     };
 }
