@@ -210,11 +210,13 @@ impl Deformer {
                 self.dims,
                 self.layers_added,
                 self.budget,
+                report.distance,
             )
         });
         let mut stall = 0usize;
         while !report.restored && stall < 3 && self.budget.total() > 0 {
-            let d = self.patch.distance();
+            // `report.distance` is always the current patch's distance.
+            let d = report.distance;
             // Prefer the axis that is further from its target; fall back to
             // the other axis when the preferred one is out of budget.
             let x_deficit = self.target.x.saturating_sub(d.x);
@@ -248,6 +250,7 @@ impl Deformer {
                     self.dims,
                     self.layers_added,
                     self.budget,
+                    new_d,
                 ));
             }
             if new_d.min() <= d.min() && new_d.x + new_d.z <= d.x + d.z {
@@ -258,17 +261,17 @@ impl Deformer {
             report.distance = new_d;
             report.restored = new_d.x >= self.target.x && new_d.z >= self.target.z;
         }
-        if let Some((patch, origin, dims, layers_added, budget)) = best {
+        if let Some((patch, origin, dims, layers_added, budget, distance)) = best {
             // `<=`, not `<`: the snapshot is only updated on strict
             // improvement, so on a tie it is the *cheapest* state achieving
             // this score — restoring refunds layers that bought nothing.
-            if score(self.patch.distance()) <= best_score {
+            if score(report.distance) <= best_score {
                 self.patch = patch;
                 self.origin = origin;
                 self.dims = dims;
                 self.layers_added = layers_added;
                 self.budget = budget;
-                report.distance = self.patch.distance();
+                report.distance = distance;
                 report.restored =
                     report.distance.x >= self.target.x && report.distance.z >= self.target.z;
             }

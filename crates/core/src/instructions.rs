@@ -235,25 +235,20 @@ pub fn patch_q_rm(
             .into_iter()
             .filter(|&c| c.chebyshev(q) <= 4)
             .collect();
-        let mut best: Option<Patch> = None;
+        let mut best: Option<(Patch, (usize, usize))> = None;
         for avoid in [&wide, &support] {
             let mut trial = patch.clone();
             let _ = trial.reroute_logicals_avoiding(avoid);
             trial.remove_check(id);
             trial.normalize_groups();
             fix_stranded_qubits(&mut trial);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let (bd, td) = (b.distance(), trial.distance());
-                    (td.min(), td.x + td.z) > (bd.min(), bd.x + bd.z)
-                }
-            };
-            if better {
-                best = Some(trial);
+            let td = trial.distance();
+            let key = (td.min(), td.x + td.z);
+            if best.as_ref().is_none_or(|(_, best_key)| key > *best_key) {
+                best = Some((trial, key));
             }
         }
-        *patch = best.expect("at least one candidate evaluated");
+        *patch = best.expect("at least one candidate evaluated").0;
         let log = vec![GaugeStep::S2G {
             new_gauge: retired.clone(),
             demoted: vec![retired],
@@ -417,24 +412,29 @@ pub fn patch_q_add(
 /// it and a weight-1 check pins the qubit (exactly like the corner qubits
 /// of `SyndromeQ_RM`). Fully disconnected qubits are excluded outright.
 pub fn fix_stranded_qubits(patch: &mut Patch) {
-    // One pass over the checks builds the per-basis coverage sets.
-    let mut covered_x: BTreeSet<Coord> = BTreeSet::new();
-    let mut covered_z: BTreeSet<Coord> = BTreeSet::new();
+    // One pass over the checks builds the per-basis coverage lists.
+    let mut covered_x: Vec<Coord> = Vec::new();
+    let mut covered_z: Vec<Coord> = Vec::new();
     for (_, c) in patch.checks() {
         match c.basis {
             Basis::X => covered_x.extend(c.support.iter().copied()),
             Basis::Z => covered_z.extend(c.support.iter().copied()),
         }
     }
+    for covered in [&mut covered_x, &mut covered_z] {
+        covered.sort_unstable();
+        covered.dedup();
+    }
     let mut changed = false;
     for q in patch.data_qubits() {
-        let (has_x, has_z) = (covered_x.contains(&q), covered_z.contains(&q));
-        let avoid: BTreeSet<_> = [q].into_iter().collect();
+        let has_x = covered_x.binary_search(&q).is_ok();
+        let has_z = covered_z.binary_search(&q).is_ok();
+        let avoid = || BTreeSet::from([q]);
         match (has_x, has_z) {
             (true, true) => {}
             (false, false) => {
                 // Fully disconnected: drop the qubit if the logicals allow.
-                if patch.reroute_logicals_avoiding(&avoid).is_ok() {
+                if patch.reroute_logicals_avoiding(&avoid()).is_ok() {
                     patch.remove_data(q);
                     changed = true;
                 }
@@ -442,14 +442,14 @@ pub fn fix_stranded_qubits(patch: &mut Patch) {
             // No Z coverage: q lives in the X sector; Z_L must avoid it and
             // a weight-1 X check pins its X degree of freedom.
             (true, false) => {
-                if patch.reroute_logical_avoiding(Basis::Z, &avoid).is_ok() {
-                    patch.add_check(Basis::X, avoid.clone(), None, None);
+                if patch.reroute_logical_avoiding(Basis::Z, &avoid()).is_ok() {
+                    patch.add_check(Basis::X, avoid(), None, None);
                     changed = true;
                 }
             }
             (false, true) => {
-                if patch.reroute_logical_avoiding(Basis::X, &avoid).is_ok() {
-                    patch.add_check(Basis::Z, avoid.clone(), None, None);
+                if patch.reroute_logical_avoiding(Basis::X, &avoid()).is_ok() {
+                    patch.add_check(Basis::Z, avoid(), None, None);
                     changed = true;
                 }
             }

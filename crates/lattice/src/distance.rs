@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
+use crate::patch::DataIndex;
 use crate::{Basis, Coord, Patch};
 
 /// The X and Z code distances of a patch.
@@ -34,7 +35,8 @@ impl std::fmt::Display for Distances {
     }
 }
 
-/// Internal graph node: a detector-basis group or the merged boundary.
+/// Graph node of [`Patch::shortest_chain_reference`]: a detector-basis
+/// group or the merged boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Node {
     Group(usize),
@@ -105,7 +107,161 @@ impl Patch {
     /// qubits still over-covered after the budgeted reduction are excluded
     /// from chains by the caller (yielding a conservative distance
     /// estimate for heavily damaged patches).
-    fn graphlike_products(&self, basis: Basis) -> Vec<BTreeSet<Coord>> {
+    ///
+    /// Products are ascending qubit indices of `index`. The work stack is
+    /// seeded in coordinate order, so the reduction — and every chain built
+    /// on it — is a function of the patch alone.
+    fn graphlike_products(&self, basis: Basis, index: &DataIndex) -> Vec<Vec<u32>> {
+        let n = index.qubits().len();
+        let mut products = self.stabilizer_products(basis, index);
+        let mut cover = vec![0u32; n];
+        for &q in products.iter().flatten() {
+            cover[q as usize] += 1;
+        }
+        if cover.iter().all(|&c| c <= 2) {
+            return products;
+        }
+        // Incremental incidence lists + work stack of over-covered qubits.
+        let mut incidence: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, p) in products.iter().enumerate() {
+            for &q in p {
+                incidence[q as usize].push(i);
+            }
+        }
+        let mut queue: Vec<u32> = (0..n as u32)
+            .filter(|&q| incidence[q as usize].len() > 2)
+            .collect();
+        let mut steps = 50 * products.len() + 100;
+        while let Some(q) = queue.pop() {
+            if steps == 0 {
+                break;
+            }
+            if incidence[q as usize].len() <= 2 {
+                continue;
+            }
+            steps -= 1;
+            // XOR the smallest over-covering product into the second
+            // smallest: removes the shared qubit from one of them.
+            let mut by_size = incidence[q as usize].clone();
+            by_size.sort_by_key(|&i| products[i].len());
+            let (a, b) = (by_size[0], by_size[1]);
+            let (pa, pb) = (&products[a], &products[b]);
+            let mut sum = Vec::with_capacity(pa.len() + pb.len());
+            let (mut i, mut j) = (0, 0);
+            while i < pa.len() || j < pb.len() {
+                if j == pb.len() || (i < pa.len() && pa[i] < pb[j]) {
+                    let qq = pa[i];
+                    sum.push(qq);
+                    let list = &mut incidence[qq as usize];
+                    list.push(b);
+                    if list.len() > 2 {
+                        queue.push(qq);
+                    }
+                    i += 1;
+                } else if i == pa.len() || pb[j] < pa[i] {
+                    sum.push(pb[j]);
+                    j += 1;
+                } else {
+                    incidence[pa[i] as usize].retain(|&k| k != b);
+                    i += 1;
+                    j += 1;
+                }
+            }
+            products[b] = sum;
+            if incidence[q as usize].len() > 2 {
+                queue.push(q);
+            }
+        }
+        // Drop emptied products.
+        products.retain(|p| !p.is_empty());
+        products
+    }
+
+    /// Shortest chain of data qubits that commutes with every stabilizer
+    /// product of `detector_basis` and crosses `observable` oddly.
+    ///
+    /// Graph nodes are product indices, with the merged boundary as node
+    /// `products.len()`; BFS states are `2 · node + parity`.
+    fn shortest_chain(
+        &self,
+        detector_basis: Basis,
+        observable: &BTreeSet<Coord>,
+    ) -> Option<BTreeSet<Coord>> {
+        let index = self.data_index();
+        let qubits = index.qubits();
+        let products = self.graphlike_products(detector_basis, &index);
+        let boundary = products.len() as u32;
+        // The first two products on each qubit, and how many there are.
+        let mut on_qubit: Vec<(usize, [u32; 2])> = vec![(0, [boundary; 2]); qubits.len()];
+        for (idx, p) in products.iter().enumerate() {
+            for &q in p {
+                let (count, nodes) = &mut on_qubit[q as usize];
+                if *count < 2 {
+                    nodes[*count] = idx as u32;
+                }
+                *count += 1;
+            }
+        }
+        // Adjacency in compressed sparse-row form, each node's edges in
+        // data-qubit order: `(next node, crosses observable, qubit)`.
+        let mut start = vec![0usize; boundary as usize + 2];
+        for &(count, [a, b]) in &on_qubit {
+            // Over-covered qubit after reduction: exclude it from chains
+            // (conservative).
+            if count <= 2 {
+                start[a as usize + 1] += 1;
+                start[b as usize + 1] += 1;
+            }
+        }
+        for k in 0..=boundary as usize {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![(0u32, false, 0u32); start[boundary as usize + 1]];
+        for (q, &(count, [a, b])) in on_qubit.iter().enumerate() {
+            if count > 2 {
+                continue;
+            }
+            let obs = observable.contains(&qubits[q]);
+            for (from, to) in [(a, b), (b, a)] {
+                adj[fill[from as usize]] = (to, obs, q as u32);
+                fill[from as usize] += 1;
+            }
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let origin = 2 * boundary;
+        let mut back = vec![(UNSEEN, 0u32); 2 * boundary as usize + 2];
+        back[origin as usize].0 = origin;
+        let mut queue = VecDeque::from([origin]);
+        while let Some(state) = queue.pop_front() {
+            let (node, parity) = (state / 2, state % 2);
+            if node == boundary && parity == 1 {
+                let mut chain = BTreeSet::new();
+                let mut cur = state;
+                while cur != origin {
+                    let (prev, q) = back[cur as usize];
+                    // XOR semantics: a qubit used twice cancels out.
+                    if !chain.remove(&qubits[q as usize]) {
+                        chain.insert(qubits[q as usize]);
+                    }
+                    cur = prev;
+                }
+                return Some(chain);
+            }
+            for &(next, obs, q) in &adj[start[node as usize]..start[node as usize + 1]] {
+                let next_state = 2 * next + (parity ^ u32::from(obs));
+                if back[next_state as usize].0 == UNSEEN {
+                    back[next_state as usize] = (state, q);
+                    queue.push_back(next_state);
+                }
+            }
+        }
+        None
+    }
+
+    /// [`Patch::graphlike_products`] over coordinate-keyed hash maps: the
+    /// reference for [`Patch::shortest_chain_reference`].
+    fn graphlike_products_reference(&self, basis: Basis) -> Vec<BTreeSet<Coord>> {
         let mut products: Vec<BTreeSet<Coord>> = self
             .stabilizer_group_ids()
             .into_iter()
@@ -125,6 +281,8 @@ impl Patch {
             .filter(|(_, v)| v.len() > 2)
             .map(|(&q, _)| q)
             .collect();
+        // Hash-map order varies per process; reduce in coordinate order.
+        queue.sort_unstable();
         let mut steps = 50 * products.len() + 100;
         while let Some(q) = queue.pop() {
             if steps == 0 {
@@ -162,14 +320,17 @@ impl Patch {
         products
     }
 
-    /// Shortest chain of data qubits that commutes with every stabilizer
-    /// product of `detector_basis` and crosses `observable` oddly.
-    fn shortest_chain(
+    /// The shortest-chain search over hash-map keyed nodes and states: the
+    /// reference the indexed search must reproduce exactly (same chain,
+    /// not only the same length). `shortest_chain_reference(Basis::Z,
+    /// patch.logical_z())` is [`Patch::shortest_logical_x`]'s reference.
+    #[doc(hidden)]
+    pub fn shortest_chain_reference(
         &self,
         detector_basis: Basis,
         observable: &BTreeSet<Coord>,
     ) -> Option<BTreeSet<Coord>> {
-        let products = self.graphlike_products(detector_basis);
+        let products = self.graphlike_products_reference(detector_basis);
         let mut on_qubit: HashMap<Coord, Vec<usize>> = HashMap::new();
         for (idx, p) in products.iter().enumerate() {
             for &q in p {
@@ -313,7 +474,8 @@ mod tests {
         let p = Patch::rotated(7);
         // Fresh patches are already graphlike: the reduction must be a
         // no-op and keep all 24 products per basis.
-        assert_eq!(p.graphlike_products(Basis::Z).len(), 24);
-        assert_eq!(p.graphlike_products(Basis::X).len(), 24);
+        let index = p.data_index();
+        assert_eq!(p.graphlike_products(Basis::Z, &index).len(), 24);
+        assert_eq!(p.graphlike_products(Basis::X, &index).len(), 24);
     }
 }

@@ -173,6 +173,11 @@ impl Patch {
         self.data.iter().copied().collect()
     }
 
+    /// The dense index of the data qubits.
+    pub(crate) fn data_index(&self) -> DataIndex {
+        DataIndex::new(&self.data)
+    }
+
     /// Sorted distinct ancilla coordinates.
     pub fn syndrome_qubits(&self) -> Vec<Coord> {
         let set: BTreeSet<Coord> = self.checks.values().filter_map(|c| c.ancilla).collect();
@@ -245,6 +250,22 @@ impl Patch {
         acc
     }
 
+    /// The products of the stabilizer groups of `basis` in group-id order,
+    /// each as ascending qubit indices of `index`, skipping empty products.
+    pub(crate) fn stabilizer_products(&self, basis: Basis, index: &DataIndex) -> Vec<Vec<u32>> {
+        let mut incidences: Vec<(GroupId, u32)> = Vec::new();
+        for check in self.checks.values().filter(|c| c.basis == basis) {
+            incidences.extend(check.support.iter().map(|&q| (check.group, index.index(q))));
+        }
+        incidences.sort_unstable();
+        incidences
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|group| !self.gauge_only.contains(&group[0].0))
+            .map(|group| odd_runs(group).map(|&(_, q)| q).collect::<Vec<u32>>())
+            .filter(|product| !product.is_empty())
+            .collect()
+    }
+
     /// The ids of checks of the given basis whose support contains `q`.
     pub fn checks_on_data(&self, q: Coord, basis: Basis) -> Vec<CheckId> {
         self.checks
@@ -255,7 +276,24 @@ impl Patch {
     }
 
     /// The groups of the given basis whose *product* acts on `q`.
+    ///
+    /// `q` is in a group's product iff an odd number of the group's member
+    /// checks contain it, so only the checks on `q` are counted.
     pub fn groups_on_data(&self, q: Coord, basis: Basis) -> Vec<GroupId> {
+        let mut hits: Vec<GroupId> = self
+            .checks
+            .values()
+            .filter(|c| c.basis == basis && c.support.contains(&q))
+            .map(|c| c.group)
+            .collect();
+        hits.sort_unstable();
+        odd_runs(&hits).copied().collect()
+    }
+
+    /// [`Patch::groups_on_data`] by building every group's product: the
+    /// reference the counting version must reproduce exactly.
+    #[doc(hidden)]
+    pub fn groups_on_data_reference(&self, q: Coord, basis: Basis) -> Vec<GroupId> {
         self.groups
             .keys()
             .filter(|&&g| self.group_basis(g) == Some(basis) && self.group_product(g).contains(&q))
@@ -493,10 +531,113 @@ impl Patch {
     /// This is the generic "repair" pass run after every deformation
     /// instruction; it realises exactly the structures of paper Fig. 6
     /// (super-stabilizers, octagons, boundary notches).
+    ///
+    /// Only checks that share a data qubit can anti-commute, so the pass
+    /// works over a qubit → check incidence index instead of comparing all
+    /// pairs of checks. Components are merged in the same `(i, j)` order as
+    /// the all-pairs scan of [`Patch::normalize_groups_reference`], so group
+    /// numbering is identical.
     pub fn normalize_groups(&mut self) {
-        // Drop duplicate measurements first (identical basis and support):
-        // they arise when two deformations independently re-derive the same
-        // check and would make the stabilizer products linearly dependent.
+        let incidence = Incidence::new(&DataIndex::new(&self.data), self.checks.values());
+        let ids: Vec<CheckId> = self.checks.keys().copied().collect();
+        let bases: Vec<Basis> = self.checks.values().map(|c| c.basis).collect();
+        let n = ids.len();
+        // Drop duplicate measurements (identical basis and support), keeping
+        // the lowest id: they arise when two deformations independently
+        // re-derive the same check and would make the stabilizer products
+        // linearly dependent. A duplicate shares its first qubit.
+        let mut live = vec![true; n];
+        for c in 0..n {
+            let support = incidence.support_of(c);
+            let duplicate = incidence.checks_on(support[0] as usize).iter().any(|&o| {
+                let o = o as usize;
+                o < c && bases[o] == bases[c] && incidence.support_of(o) == support
+            });
+            if duplicate {
+                live[c] = false;
+                self.remove_check(ids[c]);
+            }
+        }
+        // Union the anti-commuting pairs (opposite bases, an odd number of
+        // shared qubits) in (i, j) order.
+        let mut parent: Vec<usize> = (0..n).collect();
+        let mut partners: Vec<usize> = Vec::new();
+        for i in (0..n).filter(|&i| live[i]) {
+            partners.clear();
+            for &q in incidence.support_of(i) {
+                partners.extend(
+                    incidence
+                        .checks_on(q as usize)
+                        .iter()
+                        .map(|&j| j as usize)
+                        .filter(|&j| j > i && live[j] && bases[j] != bases[i]),
+                );
+            }
+            partners.sort_unstable();
+            for &j in odd_runs(&partners) {
+                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+                if ra != rb {
+                    parent[ra] = rb;
+                }
+            }
+        }
+        // Rebuild groups: one group per (component, basis), numbered in
+        // (root, basis) order, members in id order.
+        let mut keyed: Vec<(usize, Basis, usize)> = (0..n)
+            .filter(|&i| live[i])
+            .map(|i| (find(&mut parent, i), bases[i], i))
+            .collect();
+        keyed.sort_unstable();
+        let mut group_of = vec![GroupId(0); n];
+        // The old member lists are refilled rather than reallocated.
+        let mut spare: Vec<Vec<CheckId>> = std::mem::take(&mut self.groups).into_values().collect();
+        let mut groups: Vec<(GroupId, Vec<CheckId>)> = Vec::new();
+        let mut gauge_only: Vec<GroupId> = Vec::new();
+        // A group is gauge-only iff some opposite-basis check meets its
+        // product oddly, i.e. meets an odd total of its members' qubits.
+        let mut odd = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for members in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let g = GroupId(self.next_group);
+            self.next_group += 1;
+            let basis = members[0].1;
+            for &(_, _, m) in members {
+                group_of[m] = g;
+                for &q in incidence.support_of(m) {
+                    for &c in incidence.checks_on(q as usize) {
+                        let c = c as usize;
+                        if live[c] && bases[c] != basis {
+                            odd[c] ^= true;
+                            touched.push(c);
+                        }
+                    }
+                }
+            }
+            if touched.iter().any(|&c| odd[c]) {
+                gauge_only.push(g);
+            }
+            for c in touched.drain(..) {
+                odd[c] = false;
+            }
+            let mut list = spare.pop().unwrap_or_default();
+            list.clear();
+            list.extend(members.iter().map(|&(_, _, m)| ids[m]));
+            groups.push((g, list));
+        }
+        let live_groups = group_of.iter().zip(&live).filter(|(_, &l)| l);
+        for (check, (&g, _)) in self.checks.values_mut().zip(live_groups) {
+            check.group = g;
+        }
+        self.groups = groups.into_iter().collect();
+        self.gauge_only = gauge_only.into_iter().collect();
+    }
+
+    /// [`Patch::normalize_groups`] by the all-pairs scan over checks and
+    /// full product intersections: the reference the indexed version must
+    /// reproduce exactly (group ids, member order, gauge-only flags).
+    #[doc(hidden)]
+    pub fn normalize_groups_reference(&mut self) {
+        // Drop duplicate measurements first (identical basis and support).
         {
             let mut seen: BTreeSet<(Basis, Vec<Coord>)> = BTreeSet::new();
             let ids: Vec<CheckId> = self.checks.keys().copied().collect();
@@ -514,13 +655,6 @@ impl Patch {
         let n = ids.len();
         // Union-find over check indices.
         let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, v: usize) -> usize {
-            if parent[v] != v {
-                let r = find(parent, parent[v]);
-                parent[v] = r;
-            }
-            parent[v]
-        }
         for i in 0..n {
             for j in i + 1..n {
                 let (a, b) = (&self.checks[&ids[i]], &self.checks[&ids[j]]);
@@ -701,6 +835,144 @@ impl Patch {
             ));
         }
         Ok(())
+    }
+}
+
+/// Union-find root of `v`, with path compression.
+fn find(parent: &mut [usize], v: usize) -> usize {
+    if parent[v] != v {
+        let r = find(parent, parent[v]);
+        parent[v] = r;
+    }
+    parent[v]
+}
+
+/// The distinct values of a sorted slice that occur an odd number of times,
+/// in order.
+fn odd_runs<T: PartialEq>(sorted: &[T]) -> impl Iterator<Item = &T> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() % 2 == 1)
+        .map(|run| &run[0])
+}
+
+/// Dense numbering of a patch's data qubits in coordinate order, looked up
+/// through a grid over their bounding box (data qubits sit on odd sites).
+pub(crate) struct DataIndex {
+    qubits: Vec<Coord>,
+    min: Coord,
+    rows: i32,
+    columns: i32,
+    grid: Vec<u32>,
+}
+
+impl DataIndex {
+    pub(crate) fn new(data: &BTreeSet<Coord>) -> DataIndex {
+        let qubits: Vec<Coord> = data.iter().copied().collect();
+        let (Some(first), Some(last)) = (qubits.first(), qubits.last()) else {
+            return DataIndex {
+                qubits,
+                min: Coord::new(0, 0),
+                rows: 0,
+                columns: 0,
+                grid: Vec::new(),
+            };
+        };
+        let (min_y, max_y) = qubits
+            .iter()
+            .fold((first.y, first.y), |(lo, hi), q| (lo.min(q.y), hi.max(q.y)));
+        let min = Coord::new(first.x, min_y);
+        let (columns, rows) = ((last.x - first.x) / 2 + 1, (max_y - min_y) / 2 + 1);
+        let mut grid = vec![u32::MAX; (columns * rows) as usize];
+        for (i, q) in qubits.iter().enumerate() {
+            grid[((q.x - min.x) / 2 * rows + (q.y - min.y) / 2) as usize] = i as u32;
+        }
+        DataIndex {
+            qubits,
+            min,
+            rows,
+            columns,
+            grid,
+        }
+    }
+
+    /// The data qubits, sorted: position `i` is qubit index `i`.
+    pub(crate) fn qubits(&self) -> &[Coord] {
+        &self.qubits
+    }
+
+    /// The index of data qubit `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not a data qubit of the patch.
+    pub(crate) fn index(&self, q: Coord) -> u32 {
+        let (dx, dy) = (q.x - self.min.x, q.y - self.min.y);
+        let (column, row) = (dx / 2, dy / 2);
+        let i = if dx >= 0 && dy >= 0 && column < self.columns && row < self.rows {
+            self.grid[(column * self.rows + row) as usize]
+        } else {
+            u32::MAX
+        };
+        assert!(
+            i != u32::MAX && self.qubits[i as usize] == q,
+            "{q} is not a data qubit"
+        );
+        i
+    }
+}
+
+/// Check ↔ data-qubit incidence in compressed sparse-row form, both ways.
+/// Qubits are numbered by [`DataIndex`] and checks by their position in
+/// `CheckId` order, so every list is ascending.
+struct Incidence {
+    /// `support[support_start[c]..support_start[c + 1]]`: the qubits of check `c`.
+    support_start: Vec<usize>,
+    support: Vec<u32>,
+    /// `checks[checks_start[q]..checks_start[q + 1]]`: the checks on qubit `q`.
+    checks_start: Vec<usize>,
+    checks: Vec<u32>,
+}
+
+impl Incidence {
+    fn new<'a>(index: &DataIndex, checks: impl Iterator<Item = &'a Check>) -> Incidence {
+        let n = index.qubits().len();
+        let mut support_start = vec![0];
+        let mut support = Vec::new();
+        let mut checks_start = vec![0usize; n + 1];
+        for check in checks {
+            for &q in &check.support {
+                let q = index.index(q);
+                support.push(q);
+                checks_start[q as usize + 1] += 1;
+            }
+            support_start.push(support.len());
+        }
+        for q in 0..n {
+            checks_start[q + 1] += checks_start[q];
+        }
+        let mut fill = checks_start.clone();
+        let mut on = vec![0u32; support.len()];
+        for c in 0..support_start.len() - 1 {
+            for &q in &support[support_start[c]..support_start[c + 1]] {
+                on[fill[q as usize]] = c as u32;
+                fill[q as usize] += 1;
+            }
+        }
+        Incidence {
+            support_start,
+            support,
+            checks_start,
+            checks: on,
+        }
+    }
+
+    fn support_of(&self, c: usize) -> &[u32] {
+        &self.support[self.support_start[c]..self.support_start[c + 1]]
+    }
+
+    fn checks_on(&self, q: usize) -> &[u32] {
+        &self.checks[self.checks_start[q]..self.checks_start[q + 1]]
     }
 }
 
