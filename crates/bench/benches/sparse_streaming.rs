@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for event-driven streaming: the
 //! rounds-per-second of a long d=5 stream through a freshly built
-//! windowed decoder, fed densely (every round pushed) vs by events (only
-//! the rounds that fired, silent gaps bridged by `advance_silent`), plus
-//! the worst-case per-window commit latency of the dense feed.
+//! windowed decoder, fed densely (every round pushed, read through
+//! `RoundStream::next_round`) vs by events (only the rounds that fired,
+//! read through `RoundStream::next_event`, silent gaps bridged by
+//! `advance_silent`), plus the worst-case per-window commit latency of
+//! the dense feed.
 //!
 //! Both feeds run the same decoder: plans resolve at construction with
 //! one backend per structurally distinct window, and clean windows
@@ -19,10 +21,7 @@ use rand::SeedableRng;
 use surf_defects::DefectMap;
 use surf_lattice::{Basis, Patch};
 use surf_matching::{WindowConfig, WindowedDecoder};
-use surf_sim::{
-    DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise, RoundStream,
-    SparseRoundStream,
-};
+use surf_sim::{DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise, RoundStream};
 
 const D: usize = 5;
 /// A long horizon: construction is O(rounds), so the per-round feed cost
@@ -65,7 +64,7 @@ fn bench_rounds_per_sec(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("sparse", lanes), &lanes, |b, &lanes| {
-            let mut events = SparseRoundStream::new(&model);
+            let mut events = RoundStream::new(&model);
             let mut rng = StdRng::seed_from_u64(31);
             b.iter(|| {
                 events.begin(&mut rng, lanes);

@@ -61,4 +61,4 @@ pub use mwpm::{MwpmDecoder, MwpmScratch};
 pub use registry::{backend_stats, BackendStats, DecoderFactory};
 pub use source::{RoundModelSource, SourceEdge, WindowTranslation};
 pub use unionfind::{UfScratch, UnionFindDecoder};
-pub use windowed::{GraphEpoch, WindowConfig, WindowParts, WindowedDecoder, WindowedSession};
+pub use windowed::{WindowConfig, WindowParts, WindowedDecoder, WindowedSession};

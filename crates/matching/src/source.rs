@@ -4,16 +4,16 @@
 //! model on demand — which detectors live in a round range and which merged
 //! graph edges a window over that range must consider — without the decoder
 //! holding a pre-materialised O(rounds) graph or detector-round table. The
-//! monolithic path keeps using [`DecodingGraph`](crate::DecodingGraph) +
-//! [`GraphEpoch`](crate::GraphEpoch) vectors; a periodic model implements
+//! monolithic path keeps one whole-timeline
+//! [`DecodingGraph`](crate::DecodingGraph); a periodic model implements
 //! this trait by index arithmetic and stays O(epochs) resident regardless
 //! of the horizon.
 //!
 //! The contract is *bit-identity*: for any window, the edges yielded by
 //! [`window_edges`](RoundModelSource::window_edges) must be exactly the
 //! edges (same merged probabilities, same order) that the monolithic
-//! spliced graph would enumerate for that window's detectors, so window
-//! plans built either way are interchangeable.
+//! graph would enumerate for that window's detectors, so window plans
+//! built either way are interchangeable.
 
 use std::ops::Range;
 
@@ -90,7 +90,7 @@ pub trait RoundModelSource: Send + Sync {
 
     /// Appends every merged graph edge a window over `rounds` must
     /// consider: at least all edges whose earlier endpoint's round falls in
-    /// `rounds`, ordered exactly as the monolithic epoch-spliced graph
+    /// `rounds`, ordered exactly as the monolithic whole-timeline graph
     /// orders them (ascending graph epoch, then first-contribution order).
     /// Edges entirely outside the range may be included; the window
     /// assembler drops them.

@@ -113,28 +113,6 @@ use crate::source::{RoundModelSource, SourceEdge, WindowTranslation};
 /// flight.
 const SESSION_TEMPLATES: usize = 4;
 
-/// One geometry epoch's share of a spliced decoding graph: a
-/// locally-indexed sub-graph plus the translation of its local detector
-/// ids into the stream's global detector space.
-///
-/// This is the graph-swap input of in-stream adaptive deformation: the
-/// pre- and post-deformation models are compiled separately (the late one
-/// only exists once the deformation is decided), each carrying the
-/// detector-remap shim's `global_of` table. Edges that straddle the
-/// deformation boundary — the merge detectors comparing pre-deformation
-/// stabilizer values with the first post-deformation super-stabilizer
-/// measurement — live in the late epoch's piece and reference early
-/// detectors through the same table.
-#[derive(Clone, Debug)]
-pub struct GraphEpoch {
-    /// The epoch's sub-graph over local node ids.
-    pub graph: DecodingGraph,
-    /// Round label of each local node.
-    pub rounds_of: Vec<u32>,
-    /// Local node id → global detector id.
-    pub global_of: Vec<u32>,
-}
-
 /// Shape of the sliding window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowConfig {
@@ -389,73 +367,6 @@ impl WindowedDecoder {
             plan_builds: AtomicU64::new(0),
             backends_compiled: AtomicU64::new(0),
         }
-    }
-
-    /// Builds a windowed decoder over epoch pieces spliced into one
-    /// `num_detectors`-wide global space — the graph-swap path of
-    /// in-stream adaptive deformation.
-    ///
-    /// Every epoch's edges and round labels are translated through its
-    /// [`GraphEpoch::global_of`] table, so a window straddling the
-    /// deformation round decodes against the spliced multi-epoch graph
-    /// and its commit-cut carries land on translated (global) detector
-    /// ids — residual defects flow correctly from pre- into
-    /// post-deformation windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a global detector is left without a round label, labelled
-    /// inconsistently across epochs, or out of range — plus everything
-    /// [`WindowedDecoder::new`] checks.
-    pub fn from_epochs(
-        num_detectors: usize,
-        epochs: &[GraphEpoch],
-        config: WindowConfig,
-        factory: DecoderFactory,
-    ) -> Self {
-        let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::new(graph, rounds_of, config, factory)
-    }
-
-    fn splice_epochs(num_detectors: usize, epochs: &[GraphEpoch]) -> (DecodingGraph, Vec<u32>) {
-        let mut graph = DecodingGraph::new(num_detectors);
-        let mut rounds_of = vec![u32::MAX; num_detectors];
-        for (i, epoch) in epochs.iter().enumerate() {
-            assert_eq!(
-                epoch.global_of.len(),
-                epoch.graph.num_nodes(),
-                "epoch {i}: one global id per local node required"
-            );
-            assert_eq!(
-                epoch.rounds_of.len(),
-                epoch.graph.num_nodes(),
-                "epoch {i}: one round label per local node required"
-            );
-            for (local, (&global, &round)) in
-                epoch.global_of.iter().zip(&epoch.rounds_of).enumerate()
-            {
-                let slot = &mut rounds_of[global as usize];
-                assert!(
-                    *slot == u32::MAX || *slot == round,
-                    "epoch {i}: detector {global} (local {local}) relabelled \
-                     from round {slot} to {round}"
-                );
-                *slot = round;
-            }
-            for edge in epoch.graph.edges() {
-                graph.add_edge(
-                    epoch.global_of[edge.a] as usize,
-                    edge.b.map(|b| epoch.global_of[b] as usize),
-                    edge.probability,
-                    edge.observables,
-                );
-            }
-        }
-        assert!(
-            rounds_of.iter().all(|&r| r != u32::MAX),
-            "every global detector needs a round label from some epoch"
-        );
-        (graph, rounds_of)
     }
 
     /// Builds a windowed decoder over a round-indexed model source, with
@@ -1026,8 +937,9 @@ struct SessionCore {
     syndrome: Vec<usize>,
     /// One lane's carry targets, one per crossing correction edge.
     carried: Vec<u32>,
-    /// Reusable window sub-batch (reshaped per window, allocated once).
-    window_batch: BitBatch,
+    /// The window's nonzero defect words as `(local node, word)`, in
+    /// local order (refilled per window, allocated once).
+    window_rows: Vec<(usize, u64)>,
     /// The session's decode arena, threaded into every backend call; one
     /// slab per session, reused across windows and epochs.
     workspace: DecodeWorkspace,
@@ -1069,7 +981,7 @@ impl SessionCore {
             dirty,
             syndrome: Vec::new(),
             carried: Vec::new(),
-            window_batch: BitBatch::with_lanes(0, lanes),
+            window_rows: Vec::new(),
             workspace: DecodeWorkspace::default(),
             templates: Vec::new(),
             windows_decoded: 0,
@@ -1217,7 +1129,7 @@ impl SessionCore {
     /// defect words (lane `b` = shot `b`), XOR-ing each lane's committed
     /// observables into `observables` and flipping the carry target of
     /// every crossing edge in the lane's correction back into `defects`.
-    /// `window_batch` and the lane buffers are session-owned scratch,
+    /// `window_rows` and the lane buffers are session-owned scratch,
     /// reused across the whole stream; the backend call goes through
     /// [`Decoder::decode_correction`] with the session's single
     /// [`DecodeWorkspace`], so every buffer — Dijkstra state, blossom
@@ -1227,13 +1139,19 @@ impl SessionCore {
         if plan.globals.is_empty() {
             return;
         }
-        self.window_batch.reset_rows(plan.globals.len());
+        self.window_rows.clear();
         for local in 0..plan.globals.len() {
-            let word = self.defects.get(plan.global(local, shift));
-            self.window_batch.set_word(local, word);
+            let word = self.defects.get(plan.global(local, shift)) & self.lane_mask;
+            if word != 0 {
+                self.window_rows.push((local, word));
+            }
         }
         for lane in 0..self.lanes {
-            self.window_batch.lane_ones_into(lane, &mut self.syndrome);
+            let probe = 1u64 << lane;
+            self.syndrome.clear();
+            let rows = self.window_rows.iter();
+            self.syndrome
+                .extend(rows.filter(|r| r.1 & probe != 0).map(|r| r.0));
             self.workspace.correction.clear();
             self.observables[lane] ^= plan
                 .decoder
@@ -1562,100 +1480,28 @@ mod tests {
     }
 
     #[test]
-    fn from_epochs_splices_to_the_monolithic_graph() {
-        // Split the 6-round time strip at round 3: the cross-boundary
-        // measurement edge (2–3) lives in the late piece and references
-        // the early detector through the remap table. Decodes must match
-        // the monolithic construction bit for bit.
-        let (full, rounds) = time_strip(6);
-        let mut early = DecodingGraph::new(3);
-        early.add_edge(0, None, 1e-2, 1);
-        early.add_edge(0, Some(1), 5e-2, 0);
-        early.add_edge(1, Some(2), 5e-2, 0);
-        // Late piece: local 0 = global 2 (the early-side endpoint of the
-        // boundary edge), locals 1..=3 = globals 3..=5.
-        let mut late = DecodingGraph::new(4);
-        late.add_edge(0, Some(1), 5e-2, 0);
-        late.add_edge(1, Some(2), 5e-2, 0);
-        late.add_edge(2, Some(3), 5e-2, 0);
-        late.add_edge(3, None, 1e-2, 0);
-        let epochs = [
-            GraphEpoch {
-                graph: early,
-                rounds_of: vec![0, 1, 2],
-                global_of: vec![0, 1, 2],
-            },
-            GraphEpoch {
-                graph: late,
-                rounds_of: vec![2, 3, 4, 5],
-                global_of: vec![2, 3, 4, 5],
-            },
-        ];
-        for window in [1u32, 2, 3, 6] {
-            let spliced =
-                WindowedDecoder::from_epochs(6, &epochs, WindowConfig::new(window), mwpm_factory());
-            let mono = WindowedDecoder::new(
-                full.clone(),
-                rounds.clone(),
+    fn cross_epoch_pair_is_carried_across_the_boundary() {
+        // Two geometry epochs in one global graph: detectors 0..=1 are
+        // early, 1..=3 late, and the 1–2 edge straddles the boundary. A
+        // measurement-error pair straddling it must be matched through the
+        // cross-epoch edge and carried across commit cuts: no logical flip
+        // at any window size.
+        let mut g = DecodingGraph::new(4);
+        g.add_edge(0, None, 1e-2, 1);
+        g.add_edge(0, Some(1), 5e-2, 0);
+        g.add_edge(1, Some(2), 5e-2, 0);
+        g.add_edge(2, Some(3), 5e-2, 0);
+        g.add_edge(3, None, 1e-2, 0);
+        for window in 1..=4u32 {
+            let d = WindowedDecoder::new(
+                g.clone(),
+                vec![0, 1, 2, 3],
                 WindowConfig::new(window),
                 mwpm_factory(),
             );
-            for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 4]] {
-                assert_eq!(decode(&spliced, &s), decode(&mono, &s), "w={window} {s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn from_epochs_carries_across_the_boundary() {
-        // A measurement-error pair straddling the epoch boundary must be
-        // matched through the cross-epoch edge and carried across commit
-        // cuts: no logical flip at any window size.
-        let mut early = DecodingGraph::new(2);
-        early.add_edge(0, None, 1e-2, 1);
-        early.add_edge(0, Some(1), 5e-2, 0);
-        let mut late = DecodingGraph::new(3);
-        late.add_edge(0, Some(1), 5e-2, 0);
-        late.add_edge(1, Some(2), 5e-2, 0);
-        late.add_edge(2, None, 1e-2, 0);
-        let epochs = [
-            GraphEpoch {
-                graph: early,
-                rounds_of: vec![0, 1],
-                global_of: vec![0, 1],
-            },
-            GraphEpoch {
-                graph: late,
-                rounds_of: vec![1, 2, 3],
-                global_of: vec![1, 2, 3],
-            },
-        ];
-        for window in 1..=4u32 {
-            let d =
-                WindowedDecoder::from_epochs(4, &epochs, WindowConfig::new(window), mwpm_factory());
             assert_eq!(decode(&d, &[1, 2]), 0, "boundary pair, window {window}");
             assert_eq!(decode(&d, &[2, 3]), 0, "late pair, window {window}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "relabelled")]
-    fn from_epochs_rejects_inconsistent_round_labels() {
-        let mut g = DecodingGraph::new(1);
-        g.add_edge(0, None, 1e-2, 0);
-        let epochs = [
-            GraphEpoch {
-                graph: g.clone(),
-                rounds_of: vec![0],
-                global_of: vec![0],
-            },
-            GraphEpoch {
-                graph: g,
-                rounds_of: vec![1],
-                global_of: vec![0],
-            },
-        ];
-        WindowedDecoder::from_epochs(1, &epochs, WindowConfig::new(1), mwpm_factory());
     }
 
     #[test]

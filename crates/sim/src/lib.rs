@@ -9,11 +9,15 @@
 //!   parallel, 64 bit-packed shots at a time ([`BatchSampler`]), and
 //!   decodes them through the shared [`Decoder`] trait (MWPM or
 //!   union-find), either whole-history
-//!   ([`run_basis`](MemoryExperiment::run_basis)) or streamed round by
-//!   round through a sliding-window decoder
+//!   ([`run_basis`](MemoryExperiment::run_basis)) or streamed through a
+//!   sliding-window decoder
 //!   ([`run_stream`](MemoryExperiment::run_stream) with a
-//!   [`StreamConfig`], fed by a round-major [`RoundStream`], with
-//!   defect schedules and time-varying geometry);
+//!   [`StreamConfig`], with defect schedules and time-varying geometry),
+//!   fed by one [`RoundStream`] read round by round or, in sparse mode,
+//!   by firing events only;
+//! * [`TimelineModel`] / [`PeriodicModel`] — one detector model over a
+//!   deforming patch's whole timeline, materialised or served by round
+//!   from a periodic template;
 //! * [`DecodeSession`] — the session-oriented streaming surface beneath
 //!   `run_stream`: an owned, resumable per-logical-qubit decode loop
 //!   (`push_round` → committed corrections, availability, deformation
@@ -45,7 +49,6 @@ mod sampler;
 pub mod service;
 mod stream;
 mod timeline;
-mod view;
 
 pub use circuit::{memory_circuit, Circuit, Detector, Instruction, MemoryCircuit};
 pub use fit::LogicalRateModel;
@@ -58,15 +61,12 @@ pub use sampler::{bernoulli_mask, BatchSampler, SparseBatch, GEOMETRIC_THRESHOLD
 pub use service::{
     Availability, DecodeSession, DeformationNotice, SessionConfig, SessionError, SessionOutput,
 };
-pub use stream::{RoundSlice, RoundStream, SparseRoundStream};
+pub use stream::{RoundSlice, RoundStream};
 pub use timeline::{DetectorRemap, TimelineModel};
-pub use view::ModelView;
 
 // Re-exported so downstream pipeline code can name the shared batch and
 // decoder abstractions without extra dependency lines.
 pub use surf_defects::{DefectEpisode, DefectEvent, DefectSchedule};
 pub use surf_deformer_core::PatchTimeline;
-pub use surf_matching::{
-    Decoder, GraphEpoch, RoundModelSource, SourceEdge, WindowConfig, WindowedDecoder,
-};
+pub use surf_matching::{Decoder, RoundModelSource, SourceEdge, WindowConfig, WindowedDecoder};
 pub use surf_pauli::BitBatch;

@@ -365,44 +365,19 @@ impl MemoryExperiment {
     ///
     /// Every batch draws its RNG from a SplitMix64 stream indexed by the
     /// *batch number*, not the worker thread, so the returned count is
-    /// identical no matter how many threads run — see
-    /// [`run_basis_threads`](Self::run_basis_threads) for pinning the
-    /// thread count explicitly.
+    /// identical no matter how many threads run.
     pub fn run_basis(&self, memory_basis: Basis, shots: u64, seed: u64) -> u64 {
-        self.run_basis_threads(memory_basis, shots, seed, available_threads(shots))
+        self.run_basis_shard(memory_basis, shots, seed, Shard::solo())
     }
 
     /// [`run_basis`](Self::run_basis) restricted to the batches owned by
     /// `shard` (see [`run_shard`](Self::run_shard)).
     pub fn run_basis_shard(&self, memory_basis: Basis, shots: u64, seed: u64, shard: Shard) -> u64 {
-        self.run_basis_impl(memory_basis, shots, seed, available_threads(shots), shard)
-    }
-
-    /// [`run_basis`](Self::run_basis) with an explicit worker-thread
-    /// count. The failure count depends only on `(shots, seed)`.
-    pub fn run_basis_threads(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        threads: usize,
-    ) -> u64 {
-        self.run_basis_impl(memory_basis, shots, seed, threads, Shard::solo())
-    }
-
-    fn run_basis_impl(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        threads: usize,
-        shard: Shard,
-    ) -> u64 {
         let noise = QubitNoise::new(self.noise, self.kept_defects.clone());
         let model =
             DetectorModel::build(&self.patch, memory_basis, self.rounds, &noise, self.prior);
         let decoder = self.decoder.build(model.graph.clone());
-        run_batches_shard(shots, seed, threads, shard, || {
+        run_batches_shard(shots, seed, available_threads(shots), shard, || {
             let sampler = model.batch_sampler();
             let decoder = decoder.as_ref();
             let mut batch = BitBatch::zeros(model.num_detectors);
@@ -490,7 +465,7 @@ impl MemoryExperiment {
         if config.session.sparse {
             return run_batches_shard(config.shots, config.seed, threads, config.shard, || {
                 let proto = &proto;
-                let mut stream = proto.sparse_round_stream();
+                let mut stream = proto.round_stream();
                 move |rng: &mut StdRng, lanes: usize| {
                     stream.begin(rng, lanes);
                     let mut session = proto.fork(lanes);

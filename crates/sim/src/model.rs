@@ -278,34 +278,6 @@ impl DetectorModel {
         }
     }
 
-    /// One past the last detector round (final readout included) — the
-    /// round domain of the [`ModelView`](crate::ModelView) seam.
-    pub fn total_rounds(&self) -> u32 {
-        self.detector_rounds
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |r| r + 1)
-    }
-
-    /// Appends `round`'s detector ids in ascending order (lookup over the
-    /// detector-round table; periodic models answer this by arithmetic).
-    pub fn detectors_in_round(&self, round: u32, out: &mut Vec<u32>) {
-        out.extend(
-            (0..self.num_detectors as u32).filter(|&d| self.detector_rounds[d as usize] == round),
-        );
-    }
-
-    /// Appends `round`'s error channels in emission order.
-    pub fn channels_for_round(&self, round: u32, out: &mut Vec<Channel>) {
-        out.extend(self.channels.iter().filter(|c| c.round == round).cloned());
-    }
-
-    /// Bitmask of logical observables some channel can flip.
-    pub fn observable_support(&self) -> u64 {
-        u64::from(self.channels.iter().any(|c| c.observable))
-    }
-
     /// Builds a reusable 64-shot batch sampler over this model's channels
     /// (the word-parallel fast path of the Monte-Carlo pipeline).
     pub fn batch_sampler(&self) -> BatchSampler {

@@ -23,11 +23,11 @@
 //! * detector ids, rounds and per-round detector lists are identical;
 //! * the expanded channel list (emission order, detector references,
 //!   probabilities, observable flags) is identical, so the sparse sampler
-//!   consumes the RNG draw-for-draw like [`BatchSampler`] on the
-//!   monolithic model;
+//!   consumes the RNG draw-for-draw like
+//!   [`BatchSampler`](crate::BatchSampler) on the monolithic model;
 //! * the merged decoding-graph edges served for any decode window are
-//!   identical in value *and order* to the monolithic epoch-spliced graph
-//!   (the [`RoundModelSource`] seam).
+//!   identical in value *and order* to the monolithic graph (the
+//!   [`RoundModelSource`] seam).
 //!
 //! A conservative validator proves the template assumption channel by
 //! channel against the previous period; anything it cannot prove periodic
@@ -46,11 +46,10 @@ use surf_lattice::Basis;
 use surf_matching::{xor_probability, RoundModelSource, SourceEdge, WindowTranslation};
 use surf_pauli::BitBatch;
 
-use crate::model::{Channel, DecoderPrior};
+use crate::model::DecoderPrior;
 use crate::noise::NoiseParams;
 use crate::sampler::{geometric_fires, GEOMETRIC_THRESHOLD};
 use crate::timeline::TimelineModel;
-use crate::BatchSampler;
 
 /// Literal rounds kept on each side of every stretch: wide enough that
 /// every boundary-affected channel (straddle detectors, init/merge/final
@@ -254,7 +253,8 @@ enum ChanInfo {
 }
 
 /// One per-probability sampling group segment (mirrors the monolithic
-/// [`BatchSampler`] group layout, with template runs kept compressed).
+/// [`BatchSampler`](crate::BatchSampler) group layout, with template runs
+/// kept compressed).
 #[derive(Clone, Debug)]
 enum PSeg {
     Lit { dets: Vec<u32>, observable: bool },
@@ -787,17 +787,6 @@ impl PeriodicModel {
         self.expected_fires_per_round
     }
 
-    /// Bitmask of logical observables some channel can flip (bit 0 = the
-    /// memory observable).
-    pub(crate) fn periodic_observable_support(&self) -> u64 {
-        let lits = self.lits.iter().any(|c| c.observable);
-        let runs = self
-            .runs
-            .iter()
-            .any(|r| r.chans.iter().any(|c| c.observable));
-        u64::from(lits || runs)
-    }
-
     fn shift_before(&self, w: u32) -> u32 {
         let i = self.blocks.partition_point(|b| b.comp_first + b.m <= w);
         self.pre[i]
@@ -840,11 +829,6 @@ impl PeriodicModel {
     /// The graph epoch a real detector belongs to.
     fn epoch_of_det(&self, x: u32) -> usize {
         self.epoch_det_ends.partition_point(|&end| end <= x)
-    }
-
-    /// The epoch index covering a real round.
-    pub fn epoch_at(&self, round: u32) -> usize {
-        self.epoch_starts.partition_point(|&s| s <= round) - 1
     }
 
     fn chan_bucket(&self, c: u32) -> &[u32] {
@@ -904,32 +888,11 @@ impl PeriodicModel {
         }
     }
 
-    /// Materialises the channels of one real round, in emission order
-    /// relative to each other (the [`ModelView`](crate::ModelView) seam).
-    pub fn channels_for_round(&self, round: u32, out: &mut Vec<Channel>) {
-        let (c, j) = self.map.to_comp(round);
-        if c as usize + 1 >= self.chan_bucket_start.len() {
-            return;
-        }
-        let mut dets = Vec::new();
-        for &i in self.chan_bucket(c) {
-            dets.clear();
-            let (r, obs, p_true, p_prior) = self.resolve(i, j, &mut dets);
-            debug_assert_eq!(r, round);
-            out.push(Channel {
-                detectors: dets.iter().map(|&d| d as usize).collect(),
-                observable: obs,
-                p_true,
-                p_prior,
-                round: r,
-            });
-        }
-    }
-
     /// Samples one sparse 64-lane batch, consuming `rng` draw-for-draw
-    /// identically to [`BatchSampler::sample_sparse`] on the monolithic
-    /// model. Events are sorted by (round, detector); returns the true
-    /// observable word.
+    /// identically to
+    /// [`BatchSampler::sample_sparse`](crate::BatchSampler::sample_sparse)
+    /// on the monolithic model. Events are sorted by (round, detector);
+    /// returns the true observable word.
     pub fn sample_sparse_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -1021,22 +984,6 @@ impl PeriodicModel {
         }
         events.sort_unstable_by_key(|e| (e.round, e.det));
         obs_word & lane_mask
-    }
-
-    /// A monolithic sampler over the *expanded* channel list (diagnostic
-    /// only — materialises O(rounds) channels; used by equivalence tests).
-    pub fn monolithic_sampler(&self) -> BatchSampler {
-        let mut channels = Vec::new();
-        self.for_each_channel(|round, dets, obs, p_true, p_prior| {
-            channels.push(Channel {
-                detectors: dets.iter().map(|&d| d as usize).collect(),
-                observable: obs,
-                p_true,
-                p_prior,
-                round,
-            });
-        });
-        BatchSampler::new(&channels, self.num_detectors)
     }
 
     /// Number of detectors in `round` — O(1) and allocation-free, so
@@ -1169,8 +1116,8 @@ impl RoundModelSource for PeriodicModel {
                 }
             }
         }
-        // The monolithic spliced graph orders edges by graph epoch first
-        // (stable within an epoch), matching `WindowedDecoder::from_epochs`.
+        // The monolithic graph orders edges by graph epoch first (stable
+        // within an epoch; see `TimelineModel::build_scheduled`).
         out[base_len..].sort_by_key(|e| {
             let ea = self.epoch_of_det(e.a);
             match e.b {
@@ -1292,37 +1239,15 @@ mod tests {
             idx += 1;
         });
         assert_eq!(idx, mono.model.channels.len(), "channel count");
-        // Window edges over the full horizon equal the epoch-spliced
-        // monolithic graph edge for edge (same values, same order).
-        let epoch_of = |d: usize| -> usize { mono.epoch_detectors.partition_point(|r| r.end <= d) };
-        let mut expect: Vec<(usize, SourceEdge)> = mono
-            .model
-            .graph
-            .edges()
-            .iter()
-            .map(|e| {
-                let ep = match e.b {
-                    Some(b) => epoch_of(e.a).max(epoch_of(b)),
-                    None => epoch_of(e.a),
-                };
-                (
-                    ep,
-                    SourceEdge {
-                        a: e.a as u32,
-                        b: e.b.map(|b| b as u32),
-                        probability: e.probability,
-                        observables: e.observables,
-                    },
-                )
-            })
-            .collect();
-        expect.sort_by_key(|&(ep, _)| ep);
+        // Window edges over the full horizon equal the monolithic graph
+        // edge for edge: same values, same (epoch-major) order.
         let mut got = Vec::new();
         per.window_edges(0..total, &mut got);
-        assert_eq!(got.len(), expect.len(), "edge count");
-        for (i, (g, (_, w))) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(g.a, w.a, "edge {i} endpoint a");
-            assert_eq!(g.b, w.b, "edge {i} endpoint b");
+        let want = mono.model.graph.edges();
+        assert_eq!(got.len(), want.len(), "edge count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.a as usize, w.a, "edge {i} endpoint a");
+            assert_eq!(g.b.map(|b| b as usize), w.b, "edge {i} endpoint b");
             assert_eq!(g.observables, w.observables, "edge {i} observables");
             assert_eq!(
                 g.probability.to_bits(),
@@ -1456,36 +1381,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn expanded_sampler_groups_match_the_monolithic_sampler() {
-        // The group layout itself (order, sizes) must match, or geometric
-        // site indexing would diverge even with equal draws.
-        let timeline = removal_timeline(3, 40);
-        let (mono, per) = pair(&timeline, 110, &DefectSchedule::new());
-        let a = mono.model.batch_sampler();
-        let b = per.monolithic_sampler();
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
-        let mut batch_a = SparseBatch::new(mono.model.num_detectors);
-        let mut batch_b = SparseBatch::new(per.num_detectors());
-        let obs_a = a.sample_sparse(&mut rng_a, 64, &mut batch_a);
-        let obs_b = b.sample_sparse(&mut rng_b, 64, &mut batch_b);
-        assert_eq!(obs_a, obs_b);
-        let collect = |batch: &SparseBatch| {
-            let mut v: Vec<(u32, u64)> = batch
-                .touched()
-                .iter()
-                .filter_map(|&d| {
-                    let w = batch.word(d as usize);
-                    (w != 0).then_some((d, w))
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(collect(&batch_a), collect(&batch_b));
     }
 
     #[test]

@@ -79,11 +79,12 @@ pub struct SessionConfig {
     /// prove periodic, sparse sessions compile a [`PeriodicModel`] and a
     /// round-indexed virtual decoder instead of the monolithic model,
     /// making resident model memory O(epochs + window) instead of
-    /// O(rounds). Monte-Carlo runs of a sparse config sample the event
-    /// stream ([`SparseRoundStream`](crate::SparseRoundStream)) instead
-    /// of every round. The decoder is the same either way — plans shared
-    /// across identical windows, clean windows fast-forwarded — so
-    /// outputs are bit-identical in both modes.
+    /// O(rounds). Monte-Carlo runs of a sparse config read the
+    /// [`RoundStream`] by events
+    /// ([`next_event`](RoundStream::next_event)) instead of round by
+    /// round. The decoder is the same either way — plans shared across
+    /// identical windows, clean windows fast-forwarded — so outputs are
+    /// bit-identical in both modes.
     pub sparse: bool,
 }
 
@@ -324,9 +325,9 @@ impl SessionShared {
             &config.schedule,
             config.prior,
         );
-        let decoder = Arc::new(WindowedDecoder::from_epochs(
-            tm.model.num_detectors,
-            &tm.graph_epochs(),
+        let decoder = Arc::new(WindowedDecoder::new(
+            tm.model.graph.clone(),
+            tm.model.detector_rounds.clone(),
             config.window,
             config.decoder.factory(),
         ));
@@ -572,28 +573,24 @@ impl DecodeSession {
     }
 
     /// A round-major sampler over this session's compiled model — the
-    /// Monte-Carlo stand-in for a hardware syndrome link, emitting
-    /// detector words in exactly the order
-    /// [`push_round`](Self::push_round) expects.
+    /// Monte-Carlo stand-in for a hardware syndrome link. Its
+    /// [`next_round`](RoundStream::next_round) emits detector words in
+    /// exactly the order [`push_round`](Self::push_round) expects; its
+    /// [`next_event`](RoundStream::next_event) emits only firing rounds, to
+    /// be consumed with [`push_round_sparse`](Self::push_round_sparse) and
+    /// [`advance_silent`](Self::advance_silent).
     pub fn round_stream(&self) -> RoundStream {
         match &self.shared.model {
             SessionModel::Mono(tm) => RoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => RoundStream::for_periodic(pm),
+            SessionModel::Periodic(pm) => RoundStream::for_periodic(Arc::clone(pm)),
         }
     }
 
-    /// The event-driven twin of [`round_stream`](Self::round_stream):
-    /// emits only firing rounds (bit-identical syndromes at the same
-    /// seed), to be consumed with
-    /// [`push_round_sparse`](Self::push_round_sparse) and
-    /// [`advance_silent`](Self::advance_silent).
-    pub fn sparse_round_stream(&self) -> crate::stream::SparseRoundStream {
-        match &self.shared.model {
-            SessionModel::Mono(tm) => crate::stream::SparseRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => {
-                crate::stream::SparseRoundStream::for_periodic(Arc::clone(pm))
-            }
-        }
+    /// The same stream as [`round_stream`](Self::round_stream), named for
+    /// callers that read it through
+    /// [`next_event`](RoundStream::next_event).
+    pub fn sparse_round_stream(&self) -> RoundStream {
+        self.round_stream()
     }
 
     /// Consumes the next round's detector words (`words[i]` is the
@@ -626,8 +623,9 @@ impl DecodeSession {
     /// [`push_round`](Self::push_round) for event-driven feeds: supplies
     /// only the *firing* detectors of the next round (`words[i]` is the
     /// 64-lane firing word of `detectors[i]`; omitted detectors are
-    /// defect-free). The canonical source is
-    /// [`sparse_round_stream`](Self::sparse_round_stream); combined with
+    /// defect-free). The canonical source is the
+    /// [`round_stream`](Self::round_stream) read by
+    /// [`next_event`](RoundStream::next_event); combined with
     /// [`advance_silent`](Self::advance_silent) over the gaps, the
     /// decoded stream is bit-identical to dense pushes of the same
     /// sample.

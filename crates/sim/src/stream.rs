@@ -4,88 +4,44 @@
 //! history at once — shot-major. Real-time decoding consumes the same
 //! data *round-major*: all detectors of round `t` (64 shot lanes wide)
 //! must be handed to the decoder before round `t + 1` exists. The
-//! [`RoundStream`] bridges the two: it samples one 64-lane batch through
-//! the model's [`BatchSampler`] and then replays it round by round, in
-//! exactly the order a hardware syndrome link would deliver it, feeding
-//! a windowed decoder session's `push_round`
-//! (`surf_matching::WindowedSession`, `DecodeSession`) or any other
-//! consumer.
+//! [`RoundStream`] bridges the two: it samples one 64-lane batch and
+//! replays it in round order, through either of two views of the same
+//! sample:
 //!
-//! The stream draws the identical RNG sequence as the plain batch path,
-//! so a streamed experiment is bit-for-bit reproducible against
-//! `MemoryExperiment::run_basis` with the same seed.
+//! * [`next_round`](RoundStream::next_round) emits every round with the
+//!   words of all its detectors, in exactly the order a hardware syndrome
+//!   link would deliver them — the input of a session's `push_round`
+//!   (`surf_matching::WindowedSession`, `DecodeSession`);
+//! * [`next_event`](RoundStream::next_event) emits only the rounds where
+//!   some detector fired, with only the firing detectors — the input of
+//!   `push_round_sparse`, with the silent gaps bridged by
+//!   `advance_silent`, making a batch cost O(firings) instead of
+//!   O(rounds · detectors).
+//!
+//! Each batch is sampled once, through [`BatchSampler::sample_sparse`]
+//! over a materialised model or [`PeriodicModel::sample_sparse_into`] over
+//! a periodic one. Both consume the RNG draw-for-draw like
+//! [`BatchSampler::sample_into`], so a streamed experiment is bit-for-bit
+//! reproducible against `MemoryExperiment::run_basis` with the same seed,
+//! and the two views carry identical syndromes.
 //!
 //! # Periodic sources
 //!
-//! Both streams can also be built over a [`PeriodicModel`]
-//! (`for_periodic`). The sparse stream then samples straight from the
-//! compressed per-round template — resident state O(epochs), not
-//! O(rounds), while consuming the RNG draw-for-draw identically to the
-//! monolithic sampler — which is what makes 10⁶-round horizons stream.
-//! The dense stream expands the template once at construction (dense
-//! replay materialises O(rounds) detector words by nature) and is
-//! bit-identical thereafter.
+//! A stream over a [`PeriodicModel`] (`for_periodic`) keeps no O(rounds)
+//! table: it samples from the compressed per-round template and reads
+//! each round's detector ids from the model by index arithmetic, so its
+//! resident state is O(epochs + firings) — which is what makes 10⁶-round
+//! horizons stream.
 
 use std::sync::Arc;
 
 use rand::Rng;
 use surf_matching::RoundModelSource;
-use surf_pauli::BitBatch;
 
 use crate::model::DetectorModel;
 use crate::periodic::{PeriodicEvent, PeriodicModel, PeriodicScratch};
 use crate::sampler::{BatchSampler, SparseBatch};
 use crate::timeline::TimelineModel;
-
-/// Detector ids sorted by round plus the per-round span table:
-/// round `r` owns `order[round_start[r]..round_start[r + 1]]`. Returns
-/// `(order, round_start, total_rounds)`.
-fn round_index(model: &DetectorModel) -> (Vec<u32>, Vec<usize>, u32) {
-    let total_rounds = model
-        .detector_rounds
-        .iter()
-        .map(|&r| r + 1)
-        .max()
-        .unwrap_or(0);
-    let mut order: Vec<u32> = (0..model.num_detectors as u32).collect();
-    order.sort_by_key(|&d| model.detector_rounds[d as usize]);
-    let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-    round_start.push(0);
-    for r in 0..total_rounds {
-        let prev = *round_start.last().unwrap();
-        let len = order[prev..]
-            .iter()
-            .take_while(|&&d| model.detector_rounds[d as usize] == r)
-            .count();
-        round_start.push(prev + len);
-    }
-    (order, round_start, total_rounds)
-}
-
-/// The [`round_index`] of a periodic model's *expanded* horizon. Only the
-/// dense stream uses this — dense replay materialises every round's words
-/// anyway, so the O(rounds) tables are not a new cost class. The sparse
-/// stream stays on the compressed template.
-fn periodic_round_index(model: &PeriodicModel) -> (Vec<u32>, Vec<usize>, u32) {
-    let total_rounds = RoundModelSource::total_rounds(model);
-    let n = RoundModelSource::num_detectors(model);
-    let rounds_of: Vec<u32> = (0..n as u32)
-        .map(|d| RoundModelSource::detector_round(model, d))
-        .collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&d| rounds_of[d as usize]);
-    let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-    round_start.push(0);
-    for r in 0..total_rounds {
-        let prev = *round_start.last().unwrap();
-        let len = order[prev..]
-            .iter()
-            .take_while(|&&d| rounds_of[d as usize] == r)
-            .count();
-        round_start.push(prev + len);
-    }
-    (order, round_start, total_rounds)
-}
 
 /// The detector words of one round of one 64-lane shot batch.
 ///
@@ -101,8 +57,16 @@ pub struct RoundSlice<'a> {
     pub words: &'a [u64],
 }
 
-/// A reusable round-major sampler: one [`BatchSampler`] batch at a time,
-/// emitted as consecutive [`RoundSlice`]s.
+/// A reusable round-major sampler: one 64-lane batch at a time, replayed
+/// as consecutive [`RoundSlice`]s — every round
+/// ([`next_round`](Self::next_round)) or only the firing ones
+/// ([`next_event`](Self::next_event)).
+///
+/// The two views read the same sample through independent cursors.
+/// Syndrome-silent rounds — the overwhelming majority at physical error
+/// rates — never appear as events; the firing-round index is built on the
+/// first `next_event` call of a batch, so dense consumers never pay for
+/// it.
 ///
 /// # Example
 ///
@@ -125,43 +89,103 @@ pub struct RoundSlice<'a> {
 ///     assert_eq!(slice.round + 1, rounds);
 /// }
 /// assert_eq!(rounds, 4); // 3 noisy rounds + the readout comparison
+/// let mut last = None;
+/// while let Some(event) = stream.next_event() {
+///     assert!(last < Some(event.round), "events ascend");
+///     assert!(!event.detectors.is_empty(), "only firing rounds are emitted");
+///     last = Some(event.round);
+/// }
 /// ```
 pub struct RoundStream {
-    sampler: BatchSampler,
-    /// Detector ids sorted by round; round `r` owns
-    /// `order[round_start[r]..round_start[r + 1]]`.
-    order: Vec<u32>,
-    round_start: Vec<usize>,
+    source: Source,
     /// One past the largest round label.
     total_rounds: u32,
-    /// The current in-flight batch (shot-major backing store).
-    batch: BitBatch,
-    /// True observable-flip word of the current batch.
-    true_observables: u64,
-    /// Next round to emit.
-    cursor: u32,
-    /// Scratch for the emitted per-round words.
-    words: Vec<u64>,
     /// Rounds at which the patch geometry deforms (ascending; empty for
     /// fixed-geometry models).
     boundaries: Vec<u32>,
+    true_observables: u64,
+    lanes: usize,
+    /// Firing detectors of the current batch sorted by (round, id): filled
+    /// by the periodic sampler, or from the sparse batch on the first
+    /// [`next_event`](Self::next_event) over a materialised model.
+    fired: Vec<PeriodicEvent>,
+    /// Whether `event_dets`/`event_words` hold the current batch's events.
+    events_indexed: bool,
+    /// `fired` split into the detector ids and words events borrow.
+    event_dets: Vec<u32>,
+    event_words: Vec<u64>,
+    /// Next entry of `fired` [`next_event`](Self::next_event) emits.
+    event_cursor: usize,
+    /// Next round [`next_round`](Self::next_round) emits.
+    round_cursor: u32,
+    /// Next entry of `fired` the dense view of a periodic source reads.
+    fired_cursor: usize,
+    /// Detector ids (periodic sources) and words of the last dense round.
+    round_dets: Vec<u32>,
+    round_words: Vec<u64>,
+}
+
+/// Sampling backend of a [`RoundStream`].
+enum Source {
+    /// A materialised model: its sampler and touched-set batch, the round
+    /// of each detector, and the detector ids grouped by round (round `r`
+    /// owns `order[round_start[r]..round_start[r + 1]]`, ascending).
+    Mono {
+        sampler: BatchSampler,
+        batch: SparseBatch,
+        rounds_of: Vec<u32>,
+        order: Vec<u32>,
+        round_start: Vec<usize>,
+    },
+    /// A compressed periodic template — resident state O(epochs +
+    /// firings) regardless of horizon.
+    Periodic {
+        model: Arc<PeriodicModel>,
+        scratch: PeriodicScratch,
+    },
 }
 
 impl RoundStream {
+    fn over(source: Source, total_rounds: u32, boundaries: Vec<u32>) -> Self {
+        RoundStream {
+            source,
+            total_rounds,
+            boundaries,
+            true_observables: 0,
+            lanes: 0,
+            fired: Vec::new(),
+            events_indexed: false,
+            event_dets: Vec::new(),
+            event_words: Vec::new(),
+            event_cursor: 0,
+            round_cursor: total_rounds,
+            fired_cursor: 0,
+            round_dets: Vec::new(),
+            round_words: Vec::new(),
+        }
+    }
+
     /// Builds a stream over `model`'s channels and detector rounds.
     pub fn new(model: &DetectorModel) -> Self {
-        let (order, round_start, total_rounds) = round_index(model);
-        RoundStream {
+        let rounds_of = model.detector_rounds.clone();
+        let total_rounds = rounds_of.iter().map(|&r| r + 1).max().unwrap_or(0);
+        let mut order: Vec<u32> = (0..rounds_of.len() as u32).collect();
+        order.sort_by_key(|&d| rounds_of[d as usize]);
+        let mut round_start = vec![0usize; total_rounds as usize + 1];
+        for &r in &rounds_of {
+            round_start[r as usize + 1] += 1;
+        }
+        for r in 0..total_rounds as usize {
+            round_start[r + 1] += round_start[r];
+        }
+        let source = Source::Mono {
             sampler: model.batch_sampler(),
+            batch: SparseBatch::new(model.num_detectors),
+            rounds_of,
             order,
             round_start,
-            total_rounds,
-            batch: BitBatch::zeros(model.num_detectors),
-            true_observables: 0,
-            cursor: total_rounds,
-            words: Vec::new(),
-            boundaries: Vec::new(),
-        }
+        };
+        RoundStream::over(source, total_rounds, Vec::new())
     }
 
     /// Builds an *epoch-aware* stream over a [`TimelineModel`]: identical
@@ -175,222 +199,29 @@ impl RoundStream {
         stream
     }
 
-    /// Builds a dense stream over a [`PeriodicModel`] by expanding its
-    /// template once (dense replay is O(rounds) by nature; the sparse
-    /// streams are the O(epochs) path). Emits bit-for-bit what
-    /// [`for_timeline`](Self::for_timeline) over the equivalent monolithic
-    /// model would.
-    pub fn for_periodic(model: &PeriodicModel) -> Self {
-        let (order, round_start, total_rounds) = periodic_round_index(model);
-        RoundStream {
-            sampler: model.monolithic_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: BitBatch::zeros(model.num_detectors()),
-            true_observables: 0,
-            cursor: total_rounds,
-            words: Vec::new(),
-            boundaries: model.deformation_rounds(),
-        }
-    }
-
-    /// Number of rounds each batch is emitted over (noisy rounds plus the
-    /// final readout comparison).
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh batch of `lanes` shots and rewinds the round
-    /// cursor. Draws exactly the RNG sequence of
-    /// [`BatchSampler::sample_into`], so streamed experiments reproduce
-    /// batch experiments bit for bit.
-    pub fn begin<R: Rng + ?Sized>(&mut self, rng: &mut R, lanes: usize) {
-        self.batch.set_lanes(lanes);
-        self.true_observables = self.sampler.sample_into(rng, &mut self.batch);
-        self.cursor = 0;
-    }
-
-    /// Emits the next round of the current batch, or `None` when the
-    /// batch is exhausted (call [`begin`](Self::begin) again).
-    pub fn next_round(&mut self) -> Option<RoundSlice<'_>> {
-        if self.cursor >= self.total_rounds {
-            return None;
-        }
-        let round = self.cursor;
-        self.cursor += 1;
-        let span = self.round_start[round as usize]..self.round_start[round as usize + 1];
-        let detectors = &self.order[span.clone()];
-        self.words.clear();
-        self.words
-            .extend(detectors.iter().map(|&d| self.batch.word(d as usize)));
-        Some(RoundSlice {
-            round,
-            detectors,
-            words: &self.words,
-        })
-    }
-
-    /// The true observable-flip word of the current batch (ground truth
-    /// for failure counting; conceptually the final logical readout).
-    pub fn true_observables(&self) -> u64 {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.batch.lanes()
-    }
-}
-
-/// The event-driven twin of [`RoundStream`]: samples each 64-lane batch
-/// through [`BatchSampler::sample_sparse`] (draw-for-draw identical RNG
-/// consumption, so the emitted syndromes match the dense stream bit for
-/// bit) and replays only the rounds that actually fired, in ascending
-/// round order, as [`RoundSlice`] *events*. Syndrome-silent rounds — the
-/// overwhelming majority at physical error rates — are skipped entirely;
-/// the consumer bridges the gaps with a session's `advance_silent`
-/// (`surf_matching::WindowedSession`, `DecodeSession`), where clean
-/// windows fast-forward, making a batch cost O(firings)
-/// instead of O(rounds · detectors).
-///
-/// # Example
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-/// use surf_defects::DefectMap;
-/// use surf_lattice::{Basis, Patch};
-/// use surf_sim::{DecoderPrior, DetectorModel, NoiseParams, QubitNoise, SparseRoundStream};
-///
-/// let patch = Patch::rotated(3);
-/// let noise = QubitNoise::new(NoiseParams::paper(), DefectMap::new());
-/// let model = DetectorModel::build(&patch, Basis::Z, 3, &noise, DecoderPrior::Informed);
-/// let mut stream = SparseRoundStream::new(&model);
-/// let mut rng = StdRng::seed_from_u64(7);
-/// stream.begin(&mut rng, 64);
-/// let mut last = None;
-/// while let Some(event) = stream.next_event() {
-///     assert!(last < Some(event.round), "events ascend");
-///     assert!(!event.detectors.is_empty(), "only firing rounds are emitted");
-///     last = Some(event.round);
-/// }
-/// ```
-pub struct SparseRoundStream {
-    source: SparseSource,
-    /// One past the largest round label.
-    total_rounds: u32,
-    true_observables: u64,
-    lanes: usize,
-    /// Firing detectors of the current batch, sorted by (round, id).
-    dets: Vec<u32>,
-    /// Defect words aligned with `dets`.
-    words: Vec<u64>,
-    /// `(round, start offset into dets/words)` per firing round.
-    events: Vec<(u32, u32)>,
-    /// Next event to emit.
-    cursor: usize,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-/// Sampling backend of a [`SparseRoundStream`].
-enum SparseSource {
-    /// Whole-horizon monolithic sampler plus its O(rounds) round table.
-    Mono {
-        sampler: BatchSampler,
-        /// Round label of each detector.
-        rounds_of: Vec<u32>,
-        /// Touched-set sampling scratch, reused across batches.
-        scratch: SparseBatch,
-    },
-    /// Compressed periodic template — resident state O(epochs + firings)
-    /// regardless of horizon, RNG consumption draw-for-draw identical to
-    /// the monolithic sampler.
-    Periodic {
-        model: Arc<PeriodicModel>,
-        scratch: PeriodicScratch,
-        /// Per-batch firings, already sorted by (round, det).
-        fired: Vec<PeriodicEvent>,
-    },
-}
-
-impl SparseRoundStream {
-    /// Builds a sparse stream over `model`'s channels and detector rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let total_rounds = model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        SparseRoundStream {
-            source: SparseSource::Mono {
-                sampler: model.batch_sampler(),
-                rounds_of: model.detector_rounds.clone(),
-                scratch: SparseBatch::new(model.num_detectors),
-            },
-            total_rounds,
-            true_observables: 0,
-            lanes: 0,
-            dets: Vec::new(),
-            words: Vec::new(),
-            events: Vec::new(),
-            cursor: 0,
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = SparseRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a sparse stream straight over a [`PeriodicModel`] template:
-    /// no O(rounds) tables are ever materialised, and each batch samples
-    /// from the compressed channels with the monolithic RNG draw order,
-    /// so events match [`for_timeline`](Self::for_timeline) bit for bit.
+    /// Builds a stream straight over a [`PeriodicModel`] template: no
+    /// O(rounds) table is ever materialised, and each batch samples from
+    /// the compressed channels with the monolithic RNG draw order, so both
+    /// views match [`for_timeline`](Self::for_timeline) over the
+    /// equivalent monolithic model bit for bit.
     pub fn for_periodic(model: Arc<PeriodicModel>) -> Self {
-        SparseRoundStream {
-            total_rounds: RoundModelSource::total_rounds(&*model),
-            boundaries: model.deformation_rounds(),
-            source: SparseSource::Periodic {
-                model,
-                scratch: PeriodicScratch::default(),
-                fired: Vec::new(),
-            },
-            true_observables: 0,
-            lanes: 0,
-            dets: Vec::new(),
-            words: Vec::new(),
-            events: Vec::new(),
-            cursor: 0,
-        }
+        let total_rounds = RoundModelSource::total_rounds(&*model);
+        let boundaries = model.deformation_rounds();
+        let source = Source::Periodic {
+            model,
+            scratch: PeriodicScratch::default(),
+        };
+        RoundStream::over(source, total_rounds, boundaries)
     }
 
     /// Number of rounds each batch spans (noisy rounds plus the final
-    /// readout comparison) — silent ones included, though never emitted.
+    /// readout comparison) — silent ones included.
     pub fn total_rounds(&self) -> u32 {
         self.total_rounds
     }
 
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
+    /// Rounds at which the patch geometry deforms (empty for a
+    /// fixed-geometry model).
     pub fn deformation_rounds(&self) -> &[u32] {
         &self.boundaries
     }
@@ -400,77 +231,115 @@ impl SparseRoundStream {
         self.boundaries.binary_search(&round).is_ok()
     }
 
-    /// Samples a fresh batch of `lanes` shots and indexes its firings by
-    /// round. Consumes exactly the RNG sequence of
-    /// [`BatchSampler::sample_into`] (via
-    /// [`sample_sparse`](BatchSampler::sample_sparse)), so sparse streamed
-    /// experiments reproduce dense ones bit for bit at the same seed.
+    /// Samples a fresh batch of `lanes` shots and rewinds both views.
+    /// Consumes exactly the RNG sequence of [`BatchSampler::sample_into`],
+    /// so streamed experiments reproduce batch experiments bit for bit.
     pub fn begin<R: Rng + ?Sized>(&mut self, rng: &mut R, lanes: usize) {
+        self.true_observables = match &mut self.source {
+            Source::Mono { sampler, batch, .. } => {
+                self.fired.clear();
+                sampler.sample_sparse(rng, lanes, batch)
+            }
+            Source::Periodic { model, scratch } => {
+                model.sample_sparse_into(rng, lanes, scratch, &mut self.fired)
+            }
+        };
         self.lanes = lanes;
-        self.dets.clear();
-        self.words.clear();
-        self.events.clear();
-        self.cursor = 0;
-        match &mut self.source {
-            SparseSource::Mono {
-                sampler,
-                rounds_of,
-                scratch,
-            } => {
-                self.true_observables = sampler.sample_sparse(rng, lanes, scratch);
-                self.dets.extend(
-                    scratch
-                        .touched()
-                        .iter()
-                        .copied()
-                        .filter(|&d| scratch.word(d as usize) != 0),
-                );
-                self.dets
-                    .sort_unstable_by_key(|&d| (rounds_of[d as usize], d));
-                for &d in &self.dets {
-                    let round = rounds_of[d as usize];
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.words.len() as u32));
-                    }
-                    self.words.push(scratch.word(d as usize));
-                }
-            }
-            SparseSource::Periodic {
-                model,
-                scratch,
-                fired,
-            } => {
-                self.true_observables = model.sample_sparse_into(rng, lanes, scratch, fired);
-                for e in fired.iter() {
-                    if self.events.last().map(|&(r, _)| r) != Some(e.round) {
-                        self.events.push((e.round, self.words.len() as u32));
-                    }
-                    self.dets.push(e.det);
-                    self.words.push(e.word);
-                }
-            }
+        self.events_indexed = false;
+        self.event_cursor = 0;
+        self.round_cursor = 0;
+        self.fired_cursor = 0;
+    }
+
+    /// Emits the next round of the current batch — every detector of the
+    /// round, ascending, with its word — or `None` when the batch is
+    /// exhausted (call [`begin`](Self::begin) again).
+    pub fn next_round(&mut self) -> Option<RoundSlice<'_>> {
+        if self.round_cursor >= self.total_rounds {
+            return None;
         }
+        let round = self.round_cursor;
+        self.round_cursor += 1;
+        self.round_words.clear();
+        let detectors: &[u32] = match &self.source {
+            Source::Mono {
+                batch,
+                order,
+                round_start,
+                ..
+            } => {
+                let dets = &order[round_start[round as usize]..round_start[round as usize + 1]];
+                self.round_words
+                    .extend(dets.iter().map(|&d| batch.word(d as usize)));
+                dets
+            }
+            Source::Periodic { model, .. } => {
+                self.round_dets.clear();
+                model.detectors_in(round..round + 1, &mut self.round_dets);
+                for &det in &self.round_dets {
+                    let word = match self.fired.get(self.fired_cursor) {
+                        Some(e) if e.round == round && e.det == det => {
+                            self.fired_cursor += 1;
+                            e.word
+                        }
+                        _ => 0,
+                    };
+                    self.round_words.push(word);
+                }
+                &self.round_dets
+            }
+        };
+        Some(RoundSlice {
+            round,
+            detectors,
+            words: &self.round_words,
+        })
     }
 
     /// Emits the next firing round of the current batch, or `None` when
     /// the batch is exhausted (call [`begin`](Self::begin) again). Every
-    /// emitted slice is non-empty; rounds between consecutive events are
-    /// syndrome-silent across all lanes.
+    /// emitted slice is non-empty and holds only firing detectors; rounds
+    /// between consecutive events are syndrome-silent across all lanes.
     pub fn next_event(&mut self) -> Option<RoundSlice<'_>> {
-        if self.cursor >= self.events.len() {
-            return None;
+        if !self.events_indexed {
+            self.index_events();
         }
-        let (round, start) = self.events[self.cursor];
-        let end = self
-            .events
-            .get(self.cursor + 1)
-            .map_or(self.dets.len(), |&(_, s)| s as usize);
-        self.cursor += 1;
+        let start = self.event_cursor;
+        let round = self.fired.get(start)?.round;
+        let len = self.fired[start..]
+            .iter()
+            .take_while(|e| e.round == round)
+            .count();
+        self.event_cursor = start + len;
         Some(RoundSlice {
             round,
-            detectors: &self.dets[start as usize..end],
-            words: &self.words[start as usize..end],
+            detectors: &self.event_dets[start..start + len],
+            words: &self.event_words[start..start + len],
         })
+    }
+
+    /// Sorts the current batch's firings by (round, id) — the periodic
+    /// sampler already did — and splits them into the event arrays.
+    fn index_events(&mut self) {
+        if let Source::Mono {
+            batch, rounds_of, ..
+        } = &self.source
+        {
+            self.fired.extend(batch.touched().iter().filter_map(|&det| {
+                let word = batch.word(det as usize);
+                (word != 0).then(|| PeriodicEvent {
+                    round: rounds_of[det as usize],
+                    det,
+                    word,
+                })
+            }));
+            self.fired.sort_unstable_by_key(|e| (e.round, e.det));
+        }
+        self.event_dets.clear();
+        self.event_dets.extend(self.fired.iter().map(|e| e.det));
+        self.event_words.clear();
+        self.event_words.extend(self.fired.iter().map(|e| e.word));
+        self.events_indexed = true;
     }
 
     /// The true observable-flip word of the current batch (ground truth
@@ -494,6 +363,7 @@ mod tests {
     use rand::SeedableRng;
     use surf_defects::DefectMap;
     use surf_lattice::{Basis, Patch};
+    use surf_pauli::BitBatch;
 
     fn model(d: usize, rounds: u32, p: f64) -> DetectorModel {
         let patch = Patch::rotated(d);
@@ -504,9 +374,14 @@ mod tests {
     #[test]
     fn rounds_partition_all_detectors() {
         let m = model(3, 4, 1e-2);
-        let stream = RoundStream::new(&m);
+        let mut stream = RoundStream::new(&m);
         assert_eq!(stream.total_rounds(), 5);
-        assert_eq!(*stream.round_start.last().unwrap(), m.num_detectors);
+        stream.begin(&mut StdRng::seed_from_u64(1), 64);
+        let mut emitted = 0;
+        while let Some(slice) = stream.next_round() {
+            emitted += slice.detectors.len();
+        }
+        assert_eq!(emitted, m.num_detectors);
     }
 
     #[test]
@@ -540,7 +415,7 @@ mod tests {
     fn sparse_stream_matches_dense_stream_bit_for_bit() {
         let m = model(3, 6, 1e-3);
         let mut dense = RoundStream::new(&m);
-        let mut sparse = SparseRoundStream::new(&m);
+        let mut sparse = RoundStream::new(&m);
         assert_eq!(sparse.total_rounds(), dense.total_rounds());
         for (seed, lanes) in [(99u64, 64usize), (7, 64), (13, 5)] {
             let mut dense_rng = StdRng::seed_from_u64(seed);
@@ -606,8 +481,8 @@ mod tests {
     #[test]
     fn periodic_sparse_stream_matches_monolithic_bit_for_bit() {
         let (mono, per) = periodic_pair(48, 1e-3);
-        let mut m = SparseRoundStream::for_timeline(&mono);
-        let mut p = SparseRoundStream::for_periodic(Arc::clone(&per));
+        let mut m = RoundStream::for_timeline(&mono);
+        let mut p = RoundStream::for_periodic(Arc::clone(&per));
         assert_eq!(p.total_rounds(), m.total_rounds());
         assert_eq!(p.deformation_rounds(), m.deformation_rounds());
         for (seed, lanes) in [(99u64, 64usize), (7, 64), (13, 5)] {
@@ -637,7 +512,7 @@ mod tests {
     fn periodic_dense_streams_match_monolithic() {
         let (mono, per) = periodic_pair(40, 0.02);
         let mut m = RoundStream::for_timeline(&mono);
-        let mut p = RoundStream::for_periodic(&per);
+        let mut p = RoundStream::for_periodic(Arc::clone(&per));
         assert_eq!(p.total_rounds(), m.total_rounds());
         let mut mono_rng = StdRng::seed_from_u64(11);
         let mut per_rng = StdRng::seed_from_u64(11);

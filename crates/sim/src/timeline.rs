@@ -26,11 +26,12 @@
 //!   measurement yields no detector) — the deformation round's intrinsic
 //!   vulnerability window.
 //!
-//! The per-boundary bookkeeping is exposed as a [`DetectorRemap`], and
-//! [`TimelineModel::graph_epochs`] re-slices the global graph into
-//! per-epoch [`GraphEpoch`] pieces for
-//! `WindowedDecoder::from_epochs` — the graph-swap path a real-time
-//! decoder takes when the post-deformation model is compiled mid-stream.
+//! The per-boundary bookkeeping is exposed as a [`DetectorRemap`]. The
+//! global graph keeps its edges stably ordered by the epoch owning each
+//! edge's later endpoint, so boundary (merge) edges follow every edge of
+//! the early epoch; a windowed decoder reads the whole timeline from this
+//! one graph, and a [`PeriodicModel`](crate::PeriodicModel) serves the
+//! same edges in the same order.
 //!
 //! **Observable convention.** A data error's observable bit is its
 //! membership in the logical representative of the epoch it occurs in:
@@ -72,7 +73,7 @@
 //! graph, same RNG consumption) — `tests/adaptive_timeline.rs` locks the
 //! full streamed pipeline to that guarantee.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use surf_defects::{DefectEvent, DefectSchedule};
@@ -80,7 +81,7 @@ use surf_deformer_core::PatchTimeline;
 use surf_lattice::{
     diff_stabilizers, Basis, Coord, GroupId, GroupOrigin, MeasurementSchedule, Patch,
 };
-use surf_matching::GraphEpoch;
+use surf_matching::DecodingGraph;
 
 use crate::model::{
     adjacent_pairs, cancel_pairs, graph_from_channels, push_correlated_channel, Channel,
@@ -122,11 +123,12 @@ pub struct DetectorRemap {
 
 /// A [`DetectorModel`] compiled from a [`PatchTimeline`]: one global
 /// detector space over every epoch, plus the per-boundary remaps and the
-/// per-epoch detector ranges needed to re-slice it.
+/// per-epoch detector ranges.
 #[derive(Clone, Debug)]
 pub struct TimelineModel {
-    /// The spliced model: sampler channels, prior-weighted graph and
-    /// round labels over the global detector space.
+    /// The spliced model: sampler channels, prior-weighted graph (edges
+    /// stably ordered by the epoch of their later endpoint) and round
+    /// labels over the global detector space.
     pub model: DetectorModel,
     /// First round of each epoch (`epoch_starts[0] == 0`).
     pub epoch_starts: Vec<u32>,
@@ -693,7 +695,10 @@ impl TimelineModel {
             });
         }
 
-        let graph = graph_from_channels(num_detectors, &channels);
+        let graph = epoch_ordered(
+            graph_from_channels(num_detectors, &channels),
+            &epoch_detectors,
+        );
         TimelineModel {
             model: DetectorModel {
                 graph,
@@ -717,73 +722,27 @@ impl TimelineModel {
     pub fn deformation_rounds(&self) -> &[u32] {
         &self.epoch_starts[1..]
     }
+}
 
-    /// Re-slices the global graph into per-epoch pieces for
-    /// [`surf_matching::WindowedDecoder::from_epochs`] — each edge lives
-    /// in the epoch owning its later endpoint, so boundary (merge)
-    /// detectors' edges sit in the late piece and reference early
-    /// detectors through the piece's `global_of` table.
-    ///
-    /// For a one-epoch timeline the single piece is the identity slicing:
-    /// `from_epochs` rebuilds exactly `self.model.graph`, edge for edge.
-    pub fn graph_epochs(&self) -> Vec<GraphEpoch> {
-        let epoch_of = |det: usize| -> usize {
-            self.epoch_detectors
-                .partition_point(|range| range.end <= det)
-        };
-        let num_epochs = self.epoch_detectors.len();
-        let mut nodes: Vec<BTreeSet<usize>> = self
-            .epoch_detectors
-            .iter()
-            .map(|range| range.clone().collect())
-            .collect();
-        let mut edge_epoch: Vec<usize> = Vec::with_capacity(self.model.graph.num_edges());
-        for edge in self.model.graph.edges() {
-            let e = edge
-                .b
-                .map_or(epoch_of(edge.a), |b| epoch_of(edge.a).max(epoch_of(b)));
-            edge_epoch.push(e);
-            nodes[e].insert(edge.a);
-            if let Some(b) = edge.b {
-                nodes[e].insert(b);
-            }
-        }
-        let mut pieces: Vec<GraphEpoch> = nodes
-            .iter()
-            .map(|set| {
-                let global_of: Vec<u32> = set.iter().map(|&d| d as u32).collect();
-                let rounds_of = global_of
-                    .iter()
-                    .map(|&d| self.model.detector_rounds[d as usize])
-                    .collect();
-                GraphEpoch {
-                    graph: surf_matching::DecodingGraph::new(global_of.len()),
-                    rounds_of,
-                    global_of,
-                }
-            })
-            .collect();
-        let locals: Vec<HashMap<usize, usize>> = pieces
-            .iter()
-            .map(|p| {
-                p.global_of
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &g)| (g as usize, local))
-                    .collect()
-            })
-            .collect();
-        for (edge, &e) in self.model.graph.edges().iter().zip(&edge_epoch) {
-            debug_assert!(e < num_epochs);
-            pieces[e].graph.add_edge(
-                locals[e][&edge.a],
-                edge.b.map(|b| locals[e][&b]),
-                edge.probability,
-                edge.observables,
-            );
-        }
-        pieces
+/// Re-adds `graph`'s edges stably ordered by the epoch owning each edge's
+/// later endpoint, so a window's edges come out in the order the periodic
+/// source serves them (`PeriodicModel`'s `window_edges`). Nothing merges:
+/// the graph never holds two edges with the same endpoints and
+/// observable mask.
+fn epoch_ordered(graph: DecodingGraph, epoch_detectors: &[Range<usize>]) -> DecodingGraph {
+    if epoch_detectors.len() <= 1 {
+        return graph;
     }
+    // Epochs own ascending detector ranges, so the later endpoint's epoch
+    // is the epoch of the larger id.
+    let epoch_of = |det: usize| epoch_detectors.partition_point(|range| range.end <= det);
+    let mut edges = graph.edges().to_vec();
+    edges.sort_by_key(|e| epoch_of(e.b.map_or(e.a, |b| e.a.max(b))));
+    let mut ordered = DecodingGraph::new(graph.num_nodes());
+    for e in edges {
+        ordered.add_edge(e.a, e.b, e.probability, e.observables);
+    }
+    ordered
 }
 
 /// Chooses per-epoch logical representatives that agree on every qubit
@@ -1205,7 +1164,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_epochs_cover_the_global_graph() {
+    fn global_graph_is_epoch_ordered() {
         let timeline = removal_timeline(5, 4);
         let tm = TimelineModel::build(
             &timeline,
@@ -1215,22 +1174,22 @@ mod tests {
             None,
             DecoderPrior::Informed,
         );
-        let pieces = tm.graph_epochs();
-        assert_eq!(pieces.len(), 2);
-        let total_edges: usize = pieces.iter().map(|p| p.graph.num_edges()).sum();
-        assert_eq!(total_edges, tm.model.graph.num_edges());
-        // The late piece references early detectors (boundary edges).
-        let early_range = &tm.epoch_detectors[0];
-        assert!(pieces[1]
-            .global_of
+        let epoch_of = |d: usize| tm.epoch_detectors.partition_point(|r| r.end <= d);
+        let late_epoch = |e: &surf_matching::Edge| epoch_of(e.b.map_or(e.a, |b| e.a.max(b)));
+        let edges = tm.model.graph.edges();
+        // Epoch-major, and the late epoch's boundary edges reach back into
+        // early detectors.
+        assert!(edges
+            .windows(2)
+            .all(|w| late_epoch(&w[0]) <= late_epoch(&w[1])));
+        assert!(edges
             .iter()
-            .any(|&g| early_range.contains(&(g as usize))));
-        // Every global detector appears in its own epoch's piece.
-        for (e, piece) in pieces.iter().enumerate() {
-            for d in tm.epoch_detectors[e].clone() {
-                assert!(piece.global_of.contains(&(d as u32)));
-            }
-        }
+            .any(|e| late_epoch(e) == 1 && e.b.is_some_and(|b| epoch_of(e.a.min(b)) == 0)));
+        // The same edges as the channel-order graph, stably reordered.
+        let unordered = graph_from_channels(tm.model.num_detectors, &tm.model.channels);
+        let mut want: Vec<_> = unordered.edges().to_vec();
+        want.sort_by_key(late_epoch);
+        assert_eq!(edges, &want[..]);
     }
 
     #[test]

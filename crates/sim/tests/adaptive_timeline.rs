@@ -6,9 +6,9 @@
 //!    the exact fixed-patch model, so a [`StreamConfig`] with a pinned
 //!    timeline is *bit-identical* to the fixed-patch stream (same seed ⇒
 //!    same failure count), with and without a mid-stream defect event,
-//!    for both decoder backends. The epoch-spliced
-//!    `WindowedDecoder::from_epochs` construction degenerates to the
-//!    monolithic graph edge for edge.
+//!    for both decoder backends. A session's windowed decoder reads the
+//!    timeline's one global graph, which for one epoch is the fixed-patch
+//!    graph edge for edge.
 //! 2. **The adaptive win** — the repo's first true reproduction of the
 //!    paper's loop: a burst strikes at round 3, the detector reports it,
 //!    `Deformer::mitigate` deforms the patch mid-stream, and the

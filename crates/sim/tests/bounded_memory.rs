@@ -4,11 +4,12 @@
 //! [`SessionConfig`] compiles one steady-state round per epoch plus
 //! boundary tables, so a session's live allocation high-water mark is
 //! O(epochs + window) — independent of the horizon. This test pins that
-//! with a live-byte-counting `#[global_allocator]`: driving a 10⁵-round
-//! session end to end must not allocate materially more than a
-//! 10⁴-round one. The monolithic model is O(rounds); a silent fallback
-//! to it (or any per-round table sneaking back into the session) shows
-//! up as a ~10× jump and fails the factor-2 bound loudly.
+//! with a live-byte-counting `#[global_allocator]`: opening a 10⁵-round
+//! session and its round stream and driving the session end to end must
+//! not allocate materially more than a 10⁴-round one. The monolithic
+//! model is O(rounds); a silent fallback to it (or any per-round table
+//! sneaking back into the session or the stream) shows up as a ~10× jump
+//! and fails the factor-2 bound loudly.
 //!
 //! The allocator is global to the test binary, so this file holds a
 //! single `#[test]` — concurrent tests would pollute the high-water
@@ -83,6 +84,9 @@ fn session_high_water(horizon: u32) -> usize {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let mut session = config.open(64);
+    // The Monte-Carlo stream over the same compile must not expand the
+    // horizon either.
+    let stream = session.round_stream();
     // A couple of firing rounds keep the decoder honest: plans resolve,
     // windows decode, corrections commit — all inside the measured span.
     for fire_at in [37u32, 911] {
@@ -101,6 +105,7 @@ fn session_high_water(horizon: u32) -> usize {
         session.advance_silent(gap).expect("advance to stream end");
     }
     session.finish().expect("finish");
+    drop(stream);
     PEAK.load(Ordering::Relaxed).saturating_sub(base)
 }
 

@@ -3,10 +3,10 @@
 //! The sparse path must be an *exact* accelerator, never an
 //! approximation:
 //!
-//! * [`SparseRoundStream`](surf_sim::SparseRoundStream) consumes the
-//!   batch RNG draw-for-draw like the dense
-//!   [`RoundStream`](surf_sim::RoundStream), so the same `(shots, seed,
-//!   shard)` produces the same syndromes — only silent rounds are
+//! * a [`RoundStream`](surf_sim::RoundStream) samples each batch once
+//!   and its event view (`next_event`) carries the same syndromes as its
+//!   round view (`next_round`), so the same `(shots, seed, shard)`
+//!   produces the same syndromes either way — only silent rounds are
 //!   elided from the event list;
 //! * a window with no defects and no incoming carries decodes to
 //!   nothing, so fast-forwarding it commits bit-identical corrections

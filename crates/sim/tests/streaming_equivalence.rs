@@ -290,20 +290,22 @@ fn streamed_window_2d_reproduces_run_basis() {
 #[test]
 fn failure_counts_are_thread_count_independent() {
     // Locks in the batch-indexed SplitMix64 seeding: the count is a pure
-    // function of (shots, seed), never of the worker layout.
+    // function of (shots, seed), never of the worker layout. A
+    // full-history window streams the whole-history batch decode, so
+    // `run_basis` is the oracle at every thread count.
     let mut exp = MemoryExperiment::standard(Patch::rotated(D));
     exp.rounds = 4;
     exp.noise = NoiseParams::uniform(8e-3);
     let shots = 500; // not a multiple of 64: exercises the partial tail batch
-    let reference = exp.run_basis_threads(Basis::Z, shots, 42, 1);
-    for threads in [2usize, 3, 8] {
+    let reference = exp.run_basis(Basis::Z, shots, 42);
+    let full_history = StreamConfig::new(shots, 42, exp.rounds + 1);
+    for threads in [1usize, 2, 3, 8] {
         assert_eq!(
-            exp.run_basis_threads(Basis::Z, shots, 42, threads),
+            exp.run_stream_basis(Basis::Z, &full_history.clone().with_threads(threads)),
             reference,
-            "run_basis with {threads} threads"
+            "full-history stream with {threads} threads"
         );
     }
-    assert_eq!(exp.run_basis(Basis::Z, shots, 42), reference);
     let config = StreamConfig::new(shots, 42, 2 * D as u32);
     let streamed_1 = exp.run_stream_basis(Basis::Z, &config.clone().with_threads(1));
     for threads in [2usize, 5] {

@@ -63,8 +63,7 @@ pub mod prelude {
     pub use surf_lattice::{diff_stabilizers, Basis, BoundarySide, Coord, Distances, Patch};
     pub use surf_layout::{LayoutParams, LayoutScheme, ThroughputSim};
     pub use surf_matching::{
-        DecodeWorkspace, Decoder, GraphEpoch, MwpmDecoder, UnionFindDecoder, WindowConfig,
-        WindowedDecoder,
+        DecodeWorkspace, Decoder, MwpmDecoder, UnionFindDecoder, WindowConfig, WindowedDecoder,
     };
     pub use surf_pauli::BitBatch;
     pub use surf_programs::{Calibration, StrategyKind};
