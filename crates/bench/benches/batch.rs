@@ -1,14 +1,13 @@
-//! Criterion micro-benchmarks for the bit-packed batch pipeline: the
-//! 64-lane batch sampler and `decode_batch` against their per-shot
-//! counterparts (the acceptance target is the batch sampler beating the
-//! scalar path by ≥ 5× at d = 5, r = 5).
+//! Criterion micro-benchmarks for the bit-packed batch samplers: the
+//! 64-lane detector-model and Pauli-frame samplers against their
+//! per-shot counterparts (the acceptance target is the batch sampler
+//! beating the scalar path by ≥ 5× at d = 5, r = 5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use surf_defects::DefectMap;
 use surf_lattice::{Basis, Patch};
-use surf_matching::{Decoder, MwpmDecoder, UnionFindDecoder};
 use surf_pauli::BitBatch;
 use surf_sim::{
     memory_circuit, sample_batch, sample_shot, DecoderPrior, DetectorModel, NoiseParams, QubitNoise,
@@ -43,51 +42,6 @@ fn bench_batch_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// 64 scalar `decode` calls vs one scratch-reusing `decode_batch`.
-fn bench_batch_decode(c: &mut Criterion) {
-    let model = decoding_model(5, 5);
-    let sampler = model.batch_sampler();
-    let mut rng = StdRng::seed_from_u64(3);
-    // Pre-sample batches so the benchmark measures decoding only.
-    let batches: Vec<BitBatch> = (0..16)
-        .map(|_| {
-            let mut b = BitBatch::zeros(model.num_detectors);
-            sampler.sample_into(&mut rng, &mut b);
-            b
-        })
-        .collect();
-    let decoders: Vec<(&str, Box<dyn Decoder>)> = vec![
-        ("mwpm", Box::new(MwpmDecoder::new(model.graph.clone()))),
-        ("uf", Box::new(UnionFindDecoder::new(model.graph.clone()))),
-    ];
-    let mut group = c.benchmark_group("batch_decode_64_shots");
-    for (name, decoder) in &decoders {
-        let mut i = 0;
-        group.bench_with_input(BenchmarkId::new("scalar", name), name, |b, _| {
-            let mut syndrome = Vec::new();
-            b.iter(|| {
-                let batch = &batches[i % batches.len()];
-                i += 1;
-                for lane in 0..batch.lanes() {
-                    batch.lane_ones_into(lane, &mut syndrome);
-                    std::hint::black_box(decoder.decode(&syndrome));
-                }
-            });
-        });
-        let mut j = 0;
-        group.bench_with_input(BenchmarkId::new("batch", name), name, |b, _| {
-            let mut predictions = Vec::new();
-            b.iter(|| {
-                let batch = &batches[j % batches.len()];
-                j += 1;
-                decoder.decode_batch(batch, &mut predictions);
-                std::hint::black_box(predictions.len())
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Circuit-level Pauli-frame sampling: 64 scalar shots vs one batch.
 fn bench_frame_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_sampling_64_shots");
@@ -110,10 +64,5 @@ fn bench_frame_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_batch_sampling,
-    bench_batch_decode,
-    bench_frame_batch
-);
+criterion_group!(benches, bench_batch_sampling, bench_frame_batch);
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the streaming decode subsystem:
-//! round-major sampling + windowed decoding against the full-batch path,
-//! and the per-window commit latency as a function of window size (the
-//! metric a real-time decoder must keep below the round cadence), down to
-//! the steady-state commit of an unbounded-horizon (periodic) session.
+//! round-major sampling + windowed decoding at a sliding and a
+//! full-history window, and the per-window commit latency as a function
+//! of window size (the metric a real-time decoder must keep below the
+//! round cadence), down to the steady-state commit of an
+//! unbounded-horizon (periodic) session.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,10 +14,9 @@ use rand::SeedableRng;
 use surf_defects::DefectMap;
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Patch};
-use surf_matching::{Decoder, WindowConfig, WindowedDecoder};
+use surf_matching::{WindowConfig, WindowedDecoder};
 use surf_sim::{
-    BitBatch, DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise, RoundStream,
-    SessionConfig,
+    DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise, RoundStream, SessionConfig,
 };
 
 fn decoding_model(d: usize, rounds: u32) -> DetectorModel {
@@ -34,32 +34,14 @@ fn windowed(model: &DetectorModel, window: u32) -> Arc<WindowedDecoder> {
     ))
 }
 
-/// Full-batch decode vs streamed (round-major feed + windowed decode) on
-/// the same pre-sampled 64-shot batches.
-fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
+/// Streamed throughput: round-major sampling fed round by round into a
+/// windowed session, at window `2·d` and at one full-history window
+/// (`rounds + 1`, the window every whole-history run decodes through).
+fn bench_streamed_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_throughput_64_shots");
     for d in [3usize, 5] {
         let rounds = 2 * d as u32;
         let model = decoding_model(d, rounds);
-        let sampler = model.batch_sampler();
-        let mut rng = StdRng::seed_from_u64(5);
-        let batches: Vec<BitBatch> = (0..8)
-            .map(|_| {
-                let mut b = BitBatch::zeros(model.num_detectors);
-                sampler.sample_into(&mut rng, &mut b);
-                b
-            })
-            .collect();
-        let full = DecoderKind::Mwpm.build(model.graph.clone());
-        let mut predictions = Vec::new();
-        group.bench_with_input(BenchmarkId::new("full_batch", d), &d, |b, _| {
-            b.iter(|| {
-                for batch in &batches {
-                    full.decode_batch(batch, &mut predictions);
-                    std::hint::black_box(&predictions);
-                }
-            });
-        });
         for window in [2 * d as u32, rounds + 1] {
             let streamer = windowed(&model, window);
             let label = if window > rounds {
@@ -67,29 +49,19 @@ fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
             } else {
                 "window_2d"
             };
+            let mut stream = RoundStream::new(&model);
+            let mut rng = StdRng::seed_from_u64(6);
             group.bench_with_input(BenchmarkId::new(label, d), &d, |b, _| {
                 b.iter(|| {
-                    for batch in &batches {
-                        std::hint::black_box(streamer.decode_history(batch));
+                    stream.begin(&mut rng, 64);
+                    let mut session = Arc::clone(&streamer).into_session(64);
+                    while let Some(slice) = stream.next_round() {
+                        session.push_round(slice.round, slice.detectors, slice.words);
                     }
+                    std::hint::black_box(session.finish());
                 });
             });
         }
-        // End-to-end streamed pipeline: sample round-major and feed the
-        // session as rounds "arrive".
-        let streamer = windowed(&model, 2 * d as u32);
-        let mut stream = RoundStream::new(&model);
-        let mut stream_rng = StdRng::seed_from_u64(6);
-        group.bench_with_input(BenchmarkId::new("sample_and_stream", d), &d, |b, _| {
-            b.iter(|| {
-                stream.begin(&mut stream_rng, 64);
-                let mut session = Arc::clone(&streamer).into_session(64);
-                while let Some(slice) = stream.next_round() {
-                    session.push_round(slice.round, slice.detectors, slice.words);
-                }
-                std::hint::black_box(session.finish());
-            });
-        });
     }
     group.finish();
 }
@@ -174,9 +146,5 @@ fn bench_commit_latency(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_streamed_vs_batch_throughput,
-    bench_commit_latency
-);
+criterion_group!(benches, bench_streamed_throughput, bench_commit_latency);
 criterion_main!(benches);

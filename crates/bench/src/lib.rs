@@ -26,7 +26,9 @@ use std::sync::OnceLock;
 
 use surf_defects::DefectMap;
 use surf_lattice::Patch;
-use surf_sim::{DecoderKind, DecoderPrior, MemoryExperiment, MemoryStats, NoiseParams, Shard};
+use surf_sim::{
+    DecoderKind, DecoderPrior, MemoryExperiment, MemoryStats, NoiseParams, Shard, StreamConfig,
+};
 
 /// Reads an environment variable as an integer with a default.
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -108,7 +110,8 @@ pub fn cli_shard() -> Shard {
 /// stays clean for the results table / CSV).
 pub fn sharded_stats(exp: &MemoryExperiment, shots: u64, seed: u64) -> MemoryStats {
     let shard = cli_shard();
-    let stats = exp.run_shard(shots, seed, shard);
+    let config = StreamConfig::new(shots, seed, exp.rounds + 1).with_shard(shard);
+    let stats = exp.run_stream(&config);
     if shard.count() > 1 {
         eprintln!(
             "[shard {shard}] seed={seed} shots={} z_failures={} x_failures={}",

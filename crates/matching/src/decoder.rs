@@ -2,13 +2,12 @@
 //! pipeline.
 //!
 //! Every syndrome decoder in the workspace implements [`Decoder`]:
-//! a scalar [`decode`](Decoder::decode) over a sparse syndrome, a
+//! a scalar [`decode`](Decoder::decode) over a sparse syndrome and a
 //! [`decode_correction`](Decoder::decode_correction) that also reports
-//! the correction's edges, and a
-//! [`decode_batch`](Decoder::decode_batch) over a 64-lane [`BitBatch`]
-//! whose implementations reuse their scratch allocations across shots.
-//! Monte-Carlo drivers (`surf_sim::MemoryExperiment`) hold a
-//! `Box<dyn Decoder>` and never match on the concrete backend.
+//! the correction's edges, drawing its scratch from a caller-owned
+//! [`DecodeWorkspace`]. Monte-Carlo drivers (`surf_sim::MemoryExperiment`)
+//! reach a backend through [`WindowedDecoder`](crate::WindowedDecoder)
+//! sessions and never match on the concrete backend.
 //!
 //! # Plugging in a new decoder
 //!
@@ -16,33 +15,27 @@
 //! experiment drivers share one instance across worker threads). Both
 //! `decode` and `decode_correction` are required: the streaming
 //! [`WindowedDecoder`](crate::WindowedDecoder) commits windows from the
-//! reported correction. The default `decode_batch` extracts each lane and
-//! calls `decode`; override
-//! it when your decoder can hoist per-shot allocations into a reusable
-//! workspace, as [`MwpmDecoder`](crate::MwpmDecoder) and
-//! [`UnionFindDecoder`](crate::UnionFindDecoder) do.
-
-use surf_pauli::BitBatch;
+//! reported correction, calling `decode_correction` once per lane and
+//! window with the session's one workspace. Keep per-shot allocations
+//! in the workspace (as [`MwpmDecoder`](crate::MwpmDecoder) and
+//! [`UnionFindDecoder`](crate::UnionFindDecoder) do through their
+//! slices of it) and the steady-state decode allocates nothing.
 
 use crate::graph::DecodingGraph;
 use crate::mwpm::MwpmScratch;
 use crate::unionfind::UfScratch;
 
 /// One decode arena shared across windows, epochs, and sessions: the
-/// scratch state of every decoder backend, plus the lane-extraction
-/// buffer, in a single owner.
+/// scratch state of every decoder backend in a single owner.
 ///
 /// A long-lived holder (a windowed-decode session, a daemon connection)
 /// creates exactly one workspace and passes it to every
-/// [`Decoder::decode_batch_with`] call; each backend uses only its slice
+/// [`Decoder::decode_correction`] call; each backend uses only its slice
 /// of the arena, every buffer grows to its high-water mark and is then
-/// reused, so steady-state decoding performs zero heap allocations. The
-/// one-shot [`Decoder::decode_batch`] path allocates a fresh workspace
-/// per call and produces bit-identical results.
+/// reused, so steady-state decoding performs zero heap allocations.
+/// Results do not depend on what the workspace decoded before.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeWorkspace {
-    /// Lane-extraction buffer (flagged detector indices of one shot).
-    pub(crate) syndrome: Vec<usize>,
     /// MWPM backend arena: Dijkstra state, matching instance, and the
     /// blossom solver's tables.
     pub(crate) mwpm: MwpmScratch,
@@ -91,45 +84,6 @@ pub trait Decoder: Send + Sync {
     /// listed twice cancels: the XOR of the listed edges' observables is
     /// the returned mask, and their endpoints flip the syndrome.
     fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64;
-
-    /// Decodes all active lanes of `batch` (one detector row per graph
-    /// node), pushing one observable-flip mask per shot into `predictions`
-    /// (cleared first).
-    ///
-    /// The default implementation extracts each lane and calls
-    /// [`decode`](Decoder::decode); backends override it to reuse scratch
-    /// allocations across the batch so the per-shot path is
-    /// allocation-free.
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        predictions.clear();
-        let mut syndrome = Vec::new();
-        for lane in 0..batch.lanes() {
-            batch.lane_ones_into(lane, &mut syndrome);
-            predictions.push(self.decode(&syndrome));
-        }
-    }
-
-    /// Like [`decode_batch`](Decoder::decode_batch), but with every
-    /// internal allocation drawn from the caller-owned `workspace` so a
-    /// long-lived session reuses one arena across calls.
-    ///
-    /// The default implementation reuses the workspace's lane-extraction
-    /// buffer around scalar [`decode`](Decoder::decode) calls; backends
-    /// with real scratch state (MWPM, union-find) override it to route
-    /// their whole decode through the arena. Results are bit-identical to
-    /// `decode_batch`.
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        predictions.clear();
-        for lane in 0..batch.lanes() {
-            batch.lane_ones_into(lane, &mut workspace.syndrome);
-            predictions.push(self.decode(&workspace.syndrome));
-        }
-    }
 }
 
 impl<D: Decoder + ?Sized> Decoder for &D {
@@ -143,19 +97,6 @@ impl<D: Decoder + ?Sized> Decoder for &D {
 
     fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
         (**self).decode_correction(syndrome, workspace)
-    }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        (**self).decode_batch(batch, predictions)
-    }
-
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        (**self).decode_batch_with(batch, predictions, workspace)
     }
 }
 
@@ -171,19 +112,6 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
     fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
         (**self).decode_correction(syndrome, workspace)
     }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        (**self).decode_batch(batch, predictions)
-    }
-
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        (**self).decode_batch_with(batch, predictions, workspace)
-    }
 }
 
 #[cfg(test)]
@@ -191,8 +119,7 @@ mod tests {
     use super::*;
 
     /// A decoder that predicts a flip iff the syndrome is non-empty and
-    /// reports no correction edges; used to exercise the default
-    /// `decode_batch`.
+    /// reports no correction edges.
     struct ParityStub(DecodingGraph);
 
     impl Decoder for ParityStub {
@@ -207,17 +134,6 @@ mod tests {
         fn decode_correction(&self, syndrome: &[usize], _: &mut DecodeWorkspace) -> u64 {
             self.decode(syndrome)
         }
-    }
-
-    #[test]
-    fn default_batch_path_matches_scalar() {
-        let stub = ParityStub(DecodingGraph::new(3));
-        let mut batch = BitBatch::with_lanes(3, 5);
-        batch.xor_word(1, 0b10010);
-        batch.xor_word(2, 0b00010);
-        let mut preds = vec![99]; // must be cleared
-        stub.decode_batch(&batch, &mut preds);
-        assert_eq!(preds, vec![0, 1, 0, 0, 1]);
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //! * [`DecodingGraph`] — weighted detector graphs with an implicit boundary
 //!   and per-edge observable masks.
 //! * [`Decoder`] — the trait every decoder implements: scalar
-//!   [`decode`](Decoder::decode), a
+//!   [`decode`](Decoder::decode) and a
 //!   [`decode_correction`](Decoder::decode_correction) that also reports
-//!   the correction's edges, and a batch path
-//!   ([`decode_batch`](Decoder::decode_batch)) over 64-lane
-//!   [`surf_pauli::BitBatch`]es that reuses scratch allocations across
-//!   shots.
+//!   the correction's edges, reusing the scratch of a caller-owned
+//!   [`DecodeWorkspace`] across shots.
 //! * [`MwpmDecoder`] — the full minimum-weight perfect-matching decoder
 //!   (local Dijkstra + boundary twins + blossom), with a reusable
 //!   [`MwpmScratch`] workspace.

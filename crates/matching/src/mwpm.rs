@@ -24,16 +24,15 @@
 //!
 //! All per-call allocations (Dijkstra distance/visited arrays, the heap,
 //! and the matching-instance buffers) live in a reusable [`MwpmScratch`];
-//! the batch path ([`Decoder::decode_batch`]) carries one scratch across
-//! the whole batch so the per-shot decode is allocation-free. The pair
-//! table is allocated with the decoder, so filling it allocates nothing.
+//! [`Decoder::decode_correction`] draws it from the caller's
+//! [`DecodeWorkspace`], so a session reusing one workspace decodes every
+//! shot and window allocation-free. The pair table is allocated with the
+//! decoder, so filling it allocates nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-
-use surf_pauli::BitBatch;
 
 use crate::blossom::{min_weight_perfect_matching_with, BlossomScratch};
 use crate::decoder::{DecodeWorkspace, Decoder};
@@ -281,8 +280,8 @@ impl MwpmDecoder {
     /// cancel pairwise) and returns the predicted observable-flip mask.
     ///
     /// Allocates a fresh workspace; hot loops should hold an
-    /// [`MwpmScratch`] and call [`decode_with`](Self::decode_with), or go
-    /// through [`Decoder::decode_batch`].
+    /// [`MwpmScratch`] and call [`decode_with`](Self::decode_with), or a
+    /// [`DecodeWorkspace`] and call [`Decoder::decode_correction`].
     pub fn decode(&self, syndrome: &[usize]) -> u64 {
         self.decode_with(syndrome, &mut MwpmScratch::default())
     }
@@ -670,24 +669,6 @@ impl Decoder for MwpmDecoder {
             Some(&mut workspace.correction),
             self.table.as_ref(),
         )
-    }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        self.decode_batch_with(batch, predictions, &mut DecodeWorkspace::default());
-    }
-
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        debug_assert_eq!(batch.num_bits(), self.graph.num_nodes());
-        predictions.clear();
-        for lane in 0..batch.lanes() {
-            batch.lane_ones_into(lane, &mut workspace.syndrome);
-            predictions.push(self.decode_with(&workspace.syndrome, &mut workspace.mwpm));
-        }
     }
 }
 

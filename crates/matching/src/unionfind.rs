@@ -8,13 +8,11 @@
 //! re-weighting (e.g. 50 % defect edges) still steers the decoder.
 //!
 //! The cluster tables (union-find arrays, growth counters, peeling forest)
-//! live in a reusable [`UfScratch`]; the batch path
-//! ([`Decoder::decode_batch`]) carries one scratch across the whole batch
-//! so the per-shot decode is allocation-free.
+//! live in a reusable [`UfScratch`]; [`Decoder::decode_correction`]
+//! draws it from the caller's [`DecodeWorkspace`], so a session reusing
+//! one workspace decodes every shot and window allocation-free.
 
 use std::collections::VecDeque;
-
-use surf_pauli::BitBatch;
 
 use crate::decoder::{DecodeWorkspace, Decoder};
 use crate::graph::DecodingGraph;
@@ -176,8 +174,8 @@ impl UnionFindDecoder {
     /// Decodes a syndrome, returning the predicted observable-flip mask.
     ///
     /// Allocates a fresh workspace; hot loops should hold a [`UfScratch`]
-    /// and call [`decode_with`](Self::decode_with), or go through
-    /// [`Decoder::decode_batch`].
+    /// and call [`decode_with`](Self::decode_with), or a
+    /// [`DecodeWorkspace`] and call [`Decoder::decode_correction`].
     pub fn decode(&self, syndrome: &[usize]) -> u64 {
         self.decode_with(syndrome, &mut UfScratch::default())
     }
@@ -366,24 +364,6 @@ impl Decoder for UnionFindDecoder {
 
     fn decode_correction(&self, syndrome: &[usize], workspace: &mut DecodeWorkspace) -> u64 {
         self.decode_into(syndrome, &mut workspace.uf, Some(&mut workspace.correction))
-    }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        self.decode_batch_with(batch, predictions, &mut DecodeWorkspace::default());
-    }
-
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        debug_assert_eq!(batch.num_bits(), self.graph.num_nodes());
-        predictions.clear();
-        for lane in 0..batch.lanes() {
-            batch.lane_ones_into(lane, &mut workspace.syndrome);
-            predictions.push(self.decode_with(&workspace.syndrome, &mut workspace.uf));
-        }
     }
 }
 

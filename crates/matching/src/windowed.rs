@@ -31,10 +31,11 @@
 //! code distance streams.
 //!
 //! With the window at least `2·d` rounds (commit `d`, lookahead `d`) the
-//! committed corrections coincide with the full-history batch decode —
-//! `crates/sim/tests/streaming_equivalence.rs` proves the logical outcome
-//! bit-identical — while `w = rounds` reduces exactly to the inner
-//! decoder and `w = 1` degenerates to greedy round-by-round commitment.
+//! committed corrections coincide with a full-history decode by the
+//! inner decoder — `crates/sim/tests/streaming_equivalence.rs` checks the
+//! logical outcome bit-identical — while `w = rounds` reduces exactly to
+//! the inner decoder and `w = 1` degenerates to greedy round-by-round
+//! commitment.
 //!
 //! # Plans, sharing and fast-forward
 //!
@@ -73,11 +74,9 @@
 //! window's detectors and candidate edges on demand. Sessions keep their
 //! defect and dirty state in sparse maps pruned at the commit frontier,
 //! so a virtual session's resident memory is O(in-flight windows +
-//! events), independent of the horizon. Virtual decoders are
-//! session-only: [`decode_history`](WindowedDecoder::decode_history)
-//! panics, because the full graph is never materialised. Window assembly
-//! replays the identical edge sequence the materialised path would visit,
-//! so committed results stay bit-identical.
+//! events), independent of the horizon. Window assembly replays the
+//! identical edge sequence the materialised path would visit, so
+//! committed results stay bit-identical.
 //!
 //! ## Template translation
 //!
@@ -241,15 +240,15 @@ pub struct WindowParts {
 /// window's commit region and carrying boundary defects forward.
 ///
 /// [`into_session`](WindowedDecoder::into_session) opens the
-/// round-by-round feed used by `surf_sim`'s streaming experiments;
-/// [`decode_history`](WindowedDecoder::decode_history) streams complete
-/// histories in one call.
+/// round-by-round feed every decode in the workspace goes through, from
+/// `surf_sim`'s Monte-Carlo runs to the decode daemon.
 ///
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use surf_matching::{DecoderFactory, DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
-/// use surf_pauli::BitBatch;
 ///
 /// // Two detectors in consecutive rounds joined by a measurement edge
 /// // (cheaper than the boundaries, so the matching is unique).
@@ -257,19 +256,19 @@ pub struct WindowParts {
 /// g.add_edge(0, None, 1e-2, 1);
 /// g.add_edge(0, Some(1), 5e-2, 0);
 /// g.add_edge(1, None, 1e-2, 0);
-/// let windowed = WindowedDecoder::new(
+/// let windowed = Arc::new(WindowedDecoder::new(
 ///     g,
 ///     vec![0, 1],
 ///     WindowConfig::new(1),
 ///     DecoderFactory::new(|wg| Box::new(MwpmDecoder::new(wg))),
-/// );
-/// // The measurement-error pair is matched across the window cut: the
-/// // first window commits the pair edge and carries the residual defect
-/// // into round 1, where it cancels the sampled one.
-/// let mut history = BitBatch::with_lanes(2, 1);
-/// history.set(0, 0, true);
-/// history.set(1, 0, true);
-/// assert_eq!(windowed.decode_history(&history), vec![0]);
+/// ));
+/// // One shot lane. The measurement-error pair is matched across the
+/// // window cut: the first window commits the pair edge and carries the
+/// // residual defect into round 1, where it cancels the sampled one.
+/// let mut session = windowed.into_session(1);
+/// session.push_round(0, &[0], &[1]);
+/// session.push_round(1, &[1], &[1]);
+/// assert_eq!(session.finish(), vec![0]);
 /// ```
 pub struct WindowedDecoder {
     graph: DecodingGraph,
@@ -376,9 +375,6 @@ impl WindowedDecoder {
     /// windows + events) regardless of the horizon. A window's plan
     /// resolves on first touch, and only if the source cannot serve it by
     /// translation.
-    ///
-    /// Virtual decoders serve *sessions only*:
-    /// [`decode_history`](WindowedDecoder::decode_history) panics.
     ///
     /// # Panics
     ///
@@ -767,13 +763,15 @@ impl WindowedDecoder {
         self.total_rounds
     }
 
-    /// Number of windows the history is decoded in.
+    /// Number of windows the history is decoded in: none for an empty
+    /// history (a graph without detectors, such as a memory basis with no
+    /// stabilizers on a heavily deformed patch).
     pub fn num_windows(&self) -> usize {
-        if self.total_rounds <= self.config.window {
-            1
-        } else {
-            1 + (self.total_rounds - self.config.window).div_ceil(self.config.commit) as usize
+        if self.total_rounds == 0 {
+            return 0;
         }
+        let beyond_first = self.total_rounds.saturating_sub(self.config.window);
+        1 + beyond_first.div_ceil(self.config.commit) as usize
     }
 
     /// Round labels of the detectors.
@@ -817,37 +815,6 @@ impl WindowedDecoder {
         } else {
             windows_committed as u32 * self.config.commit
         }
-    }
-
-    /// Decodes complete histories: lane `b` of `batch` (one row per
-    /// detector) is shot `b`'s whole syndrome, streamed window by window
-    /// through a fresh session. Returns each lane's committed
-    /// observable-flip mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics for virtual decoders, which never hold the whole-history
-    /// detector set, and if the batch shape does not match the graph.
-    pub fn decode_history(&self, batch: &BitBatch) -> Vec<u64> {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders serve sessions only; whole-history \
-             decode would materialise O(rounds) state"
-        );
-        assert_eq!(
-            batch.num_bits(),
-            self.graph.num_nodes(),
-            "batch shape does not match the decoding graph"
-        );
-        let mut core = SessionCore::new(self, batch.lanes());
-        let DefectWords::Dense(words) = &mut core.defects else {
-            unreachable!("non-virtual cores keep dense defect words");
-        };
-        words.copy_from_slice(&batch.words()[..batch.num_bits()]);
-        core.mark_dirty_defects(self);
-        core.filled_rounds = self.total_rounds;
-        core.drain_ready(self);
-        core.finish(self)
     }
 }
 
@@ -911,10 +878,10 @@ impl DirtyRounds {
     }
 }
 
-/// The per-session state behind [`WindowedSession`] and
-/// [`WindowedDecoder::decode_history`]: residual defects, fill cursor,
-/// and committed observables. Every method takes the decoder explicitly,
-/// so whole-history decoding runs without an `Arc`.
+/// The per-session state behind [`WindowedSession`]: residual defects,
+/// fill cursor, and committed observables. Every method takes the
+/// decoder explicitly, so the session can borrow its own `Arc`'d decoder
+/// while it mutates this state.
 #[derive(Clone, Debug)]
 struct SessionCore {
     /// Current residual defects, one word per global detector.
@@ -986,24 +953,6 @@ impl SessionCore {
             templates: Vec::new(),
             windows_decoded: 0,
             windows_fast_forwarded: 0,
-        }
-    }
-
-    /// Marks the round of every currently nonzero defect word dirty —
-    /// used by [`WindowedDecoder::decode_history`], which fills `defects`
-    /// directly instead of round by round.
-    fn mark_dirty_defects(&mut self, decoder: &WindowedDecoder) {
-        let DefectWords::Dense(words) = &self.defects else {
-            unreachable!("whole-history decoding is rejected for virtual decoders");
-        };
-        let mut dirty_rounds: Vec<u32> = Vec::new();
-        for (det, &word) in words.iter().enumerate() {
-            if word != 0 {
-                dirty_rounds.push(decoder.rounds_of[det]);
-            }
-        }
-        for round in dirty_rounds {
-            self.dirty.mark(round);
         }
     }
 
@@ -1288,13 +1237,28 @@ mod tests {
         DecoderFactory::new(|g| Box::new(MwpmDecoder::new(g)))
     }
 
-    /// Whole-history decode of one syndrome (duplicates cancel pairwise).
-    fn decode(d: &WindowedDecoder, syndrome: &[usize]) -> u64 {
-        let mut history = BitBatch::with_lanes(d.rounds_of().len(), 1);
-        for &det in syndrome {
-            history.xor_word(det, 1);
+    /// Streams `syndromes` (lane `b` = `syndromes[b]`; duplicates cancel
+    /// pairwise) round by round through a fresh session and returns each
+    /// lane's committed observable mask.
+    fn decode_lanes(d: &Arc<WindowedDecoder>, syndromes: &[Vec<usize>]) -> Vec<u64> {
+        let mut words = vec![0u64; d.rounds_of().len()];
+        for (lane, syndrome) in syndromes.iter().enumerate() {
+            for &det in syndrome {
+                words[det] ^= 1 << lane;
+            }
         }
-        d.decode_history(&history)[0]
+        let mut session = open_session(d, syndromes.len());
+        for round in 0..d.total_rounds() {
+            let detectors = d.round_detectors(round);
+            let round_words: Vec<u64> = detectors.iter().map(|&det| words[det as usize]).collect();
+            session.push_round(round, detectors, &round_words);
+        }
+        session.finish()
+    }
+
+    /// Whole-history decode of one syndrome.
+    fn decode(d: &Arc<WindowedDecoder>, syndrome: &[usize]) -> u64 {
+        decode_lanes(d, &[syndrome.to_vec()])[0]
     }
 
     /// A time strip: one detector per round, measurement-error edges
@@ -1329,6 +1293,20 @@ mod tests {
         for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 2, 4]] {
             assert_eq!(decode(&d, &s), full.decode(&s), "syndrome {s:?}");
         }
+    }
+
+    #[test]
+    fn empty_graph_streams_no_windows() {
+        // No detectors: no rounds to push, nothing to decode, no flips.
+        let d = Arc::new(WindowedDecoder::new(
+            DecodingGraph::new(0),
+            Vec::new(),
+            WindowConfig::new(4),
+            mwpm_factory(),
+        ));
+        assert_eq!((d.total_rounds(), d.num_windows()), (0, 0));
+        assert_eq!(d.commit_horizon(0), 0);
+        assert_eq!(decode_lanes(&d, &[vec![], vec![]]), vec![0, 0]);
     }
 
     #[test]
@@ -1421,15 +1399,10 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar() {
+        // Five lanes through one session decode as five one-lane sessions.
         let d = windowed(7, WindowConfig::new(3));
         let syndromes = [vec![], vec![0], vec![1, 2], vec![0, 6], vec![2, 3, 5]];
-        let mut batch = BitBatch::with_lanes(7, syndromes.len());
-        for (lane, s) in syndromes.iter().enumerate() {
-            for &det in s {
-                batch.set(det, lane, true);
-            }
-        }
-        let predictions = d.decode_history(&batch);
+        let predictions = decode_lanes(&d, &syndromes);
         for (lane, s) in syndromes.iter().enumerate() {
             assert_eq!(predictions[lane], decode(&d, s), "lane {lane}: {s:?}");
         }
@@ -1493,12 +1466,12 @@ mod tests {
         g.add_edge(2, Some(3), 5e-2, 0);
         g.add_edge(3, None, 1e-2, 0);
         for window in 1..=4u32 {
-            let d = WindowedDecoder::new(
+            let d = Arc::new(WindowedDecoder::new(
                 g.clone(),
                 vec![0, 1, 2, 3],
                 WindowConfig::new(window),
                 mwpm_factory(),
-            );
+            ));
             assert_eq!(decode(&d, &[1, 2]), 0, "boundary pair, window {window}");
             assert_eq!(decode(&d, &[2, 3]), 0, "late pair, window {window}");
         }

@@ -1,7 +1,9 @@
-//! Parity between the scalar `decode` path and the scratch-reusing
-//! `decode_batch` path, for both decoder backends, on random small graphs
-//! — plus the contract of the correction each backend reports, and the
-//! MWPM pair table against the per-source search it replaces.
+//! Parity between a fresh scalar `decode` and `decode_correction` through
+//! one `DecodeWorkspace` reused across a whole batch of shots — the reuse
+//! every windowed session relies on — for both decoder backends, on
+//! random small graphs; plus the contract of the correction each backend
+//! reports, and the MWPM pair table against the per-source search it
+//! replaces.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
@@ -10,7 +12,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surf_matching::{DecodeWorkspace, Decoder, DecodingGraph, MwpmDecoder, UnionFindDecoder};
-use surf_pauli::BitBatch;
 
 /// A random connected decoding graph: a weighted strip plus random chords,
 /// boundary edges at both ends, observable on the left boundary.
@@ -32,34 +33,41 @@ fn random_graph(rng: &mut StdRng, n: usize) -> DecodingGraph {
     g
 }
 
-/// Fills a batch with random sparse syndromes and returns the per-lane
-/// syndrome lists.
-fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> (BitBatch, Vec<Vec<usize>>) {
-    let mut batch = BitBatch::with_lanes(n, lanes);
+/// Random sparse syndromes, one per shot lane.
+fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> Vec<Vec<usize>> {
     let mut per_lane = vec![Vec::new(); lanes];
-    for (lane, syndrome) in per_lane.iter_mut().enumerate() {
+    for syndrome in per_lane.iter_mut() {
         let flips = rng.gen_range(0..n.min(6) + 1);
         for _ in 0..flips {
             let d = rng.gen_range(0..n);
             if !syndrome.contains(&d) {
                 syndrome.push(d);
-                batch.set(d, lane, true);
             }
         }
         syndrome.sort_unstable();
     }
-    (batch, per_lane)
+    per_lane
 }
 
-fn check_parity(decoder: &dyn Decoder, batch: &BitBatch, per_lane: &[Vec<usize>], label: &str) {
-    let mut predictions = Vec::new();
-    decoder.decode_batch(batch, &mut predictions);
-    assert_eq!(predictions.len(), batch.lanes(), "{label}: lane count");
+/// Decodes every lane through `decode_correction` with one workspace
+/// reused across all lanes, and checks each lane against a fresh scalar
+/// `decode` and against the correction a fresh workspace reports: no
+/// scratch state leaks from one shot into the next.
+fn check_parity(decoder: &dyn Decoder, per_lane: &[Vec<usize>], label: &str) {
+    let mut reused = DecodeWorkspace::default();
     for (lane, syndrome) in per_lane.iter().enumerate() {
+        reused.correction.clear();
+        let mask = decoder.decode_correction(syndrome, &mut reused);
         assert_eq!(
-            predictions[lane],
+            mask,
             decoder.decode(syndrome),
             "{label}: lane {lane} with syndrome {syndrome:?}"
+        );
+        let mut fresh = DecodeWorkspace::default();
+        decoder.decode_correction(syndrome, &mut fresh);
+        assert_eq!(
+            reused.correction, fresh.correction,
+            "{label}: lane {lane} correction with syndrome {syndrome:?}"
         );
     }
 }
@@ -73,9 +81,9 @@ fn batch_decode_matches_scalar_on_random_graphs() {
         let mwpm = MwpmDecoder::new(g.clone());
         let uf = UnionFindDecoder::new(g);
         let lanes = rng.gen_range(1..65);
-        let (batch, per_lane) = random_batch(&mut rng, n, lanes);
-        check_parity(&mwpm, &batch, &per_lane, &format!("mwpm trial {trial}"));
-        check_parity(&uf, &batch, &per_lane, &format!("uf trial {trial}"));
+        let per_lane = random_batch(&mut rng, n, lanes);
+        check_parity(&mwpm, &per_lane, &format!("mwpm trial {trial}"));
+        check_parity(&uf, &per_lane, &format!("uf trial {trial}"));
     }
 }
 
@@ -91,36 +99,9 @@ fn batch_decode_matches_scalar_on_sampled_noise() {
     g.add_edge(11, None, 0.05, 0);
     let mwpm = MwpmDecoder::new(g.clone());
     let uf = UnionFindDecoder::new(g.clone());
-    let mut batch = BitBatch::zeros(12);
-    let mut per_lane = Vec::new();
-    for lane in 0..64 {
-        let (syndrome, _) = g.sample_errors(&mut rng);
-        for &d in &syndrome {
-            batch.set(d, lane, true);
-        }
-        per_lane.push(syndrome);
-    }
-    check_parity(&mwpm, &batch, &per_lane, "mwpm sampled");
-    check_parity(&uf, &batch, &per_lane, "uf sampled");
-}
-
-#[test]
-fn empty_batch_predicts_no_flips() {
-    let mut g = DecodingGraph::new(4);
-    g.add_edge(0, None, 0.01, 1);
-    g.add_edge(0, Some(1), 0.01, 0);
-    g.add_edge(1, Some(2), 0.01, 0);
-    g.add_edge(2, Some(3), 0.01, 0);
-    g.add_edge(3, None, 0.01, 0);
-    for decoder in [
-        Box::new(MwpmDecoder::new(g.clone())) as Box<dyn Decoder>,
-        Box::new(UnionFindDecoder::new(g)),
-    ] {
-        let batch = BitBatch::with_lanes(4, 7);
-        let mut predictions = Vec::new();
-        decoder.decode_batch(&batch, &mut predictions);
-        assert_eq!(predictions, vec![0; 7]);
-    }
+    let per_lane: Vec<Vec<usize>> = (0..64).map(|_| g.sample_errors(&mut rng).0).collect();
+    check_parity(&mwpm, &per_lane, "mwpm sampled");
+    check_parity(&uf, &per_lane, "uf sampled");
 }
 
 #[test]

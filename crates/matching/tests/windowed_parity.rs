@@ -2,21 +2,23 @@
 //!
 //! Three layers of guarantees, from structural to statistical:
 //!
-//! 1. **Self-parity** — `WindowedDecoder::decode_history` over a 64-lane
-//!    batch must agree with single-lane decodes of each lane, for any
+//! 1. **Self-parity** — a session streaming up to 64 lanes round by
+//!    round must agree with one-lane sessions of each lane, for any
 //!    window/commit split including the degenerate `w = 1` and
 //!    `w = rounds`, any lane count, and both inner backends (lanes never
 //!    leak into each other through the shared session state).
 //! 2. **Degenerate-window equivalence** — with `w = rounds` there is a
 //!    single window whose sub-graph *is* the full graph, so the streamed
-//!    result must be bit-identical to the inner decoder's full-batch
-//!    decode for arbitrary (even adversarial) syndromes.
+//!    result must be bit-identical to the inner decoder's per-lane
+//!    whole-history decode for arbitrary (even adversarial) syndromes.
 //! 3. **Sampled equivalence** — on layered space-time graphs with
 //!    realistic sparse noise, windows with at least as much lookahead as
 //!    the typical error-chain length commit the same corrections as the
 //!    full-history decode, bit for bit (the surface-code version of this
 //!    statement — window ≥ 2·d — lives in
 //!    `crates/sim/tests/streaming_equivalence.rs`).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,7 +27,6 @@ use surf_matching::{
     Decoder, DecoderFactory, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig,
     WindowedDecoder,
 };
-use surf_pauli::BitBatch;
 
 /// Which inner backend a windowed decoder wraps.
 #[derive(Clone, Copy, Debug)]
@@ -81,30 +82,53 @@ fn layered_graph(rng: &mut StdRng, rounds: usize, chains: usize) -> (DecodingGra
     layered_graph_with(rng, rounds, chains, 0.01, 0.2)
 }
 
-/// Whole-history decode of one syndrome as a single-lane batch.
-fn decode_one(windowed: &WindowedDecoder, syndrome: &[usize]) -> u64 {
-    let mut history = BitBatch::with_lanes(windowed.rounds_of().len(), 1);
-    for &d in syndrome {
-        history.xor_word(d, 1);
+/// Streams `per_lane` (lane `b` = shot `b`'s whole syndrome; duplicates
+/// cancel pairwise) round by round through one fresh session and returns
+/// each lane's committed observable mask.
+fn stream(windowed: &Arc<WindowedDecoder>, per_lane: &[Vec<usize>]) -> Vec<u64> {
+    let mut words = vec![0u64; windowed.rounds_of().len()];
+    for (lane, syndrome) in per_lane.iter().enumerate() {
+        for &d in syndrome {
+            words[d] ^= 1 << lane;
+        }
     }
-    windowed.decode_history(&history)[0]
+    let mut session = Arc::clone(windowed).into_session(per_lane.len());
+    for round in 0..windowed.total_rounds() {
+        let detectors = windowed.round_detectors(round);
+        let round_words: Vec<u64> = detectors.iter().map(|&d| words[d as usize]).collect();
+        session.push_round(round, detectors, &round_words);
+    }
+    session.finish()
+}
+
+/// Whole-history decode of one syndrome through a one-lane session.
+fn decode_one(windowed: &Arc<WindowedDecoder>, syndrome: &[usize]) -> u64 {
+    stream(windowed, &[syndrome.to_vec()])[0]
+}
+
+/// The oracle: the inner decoder over each lane's whole syndrome.
+fn decode_each(inner: &dyn Decoder, per_lane: &[Vec<usize>]) -> Vec<u64> {
+    per_lane.iter().map(|s| inner.decode(s)).collect()
 }
 
 /// Random sparse syndromes, one per lane.
-fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> (BitBatch, Vec<Vec<usize>>) {
-    let mut batch = BitBatch::with_lanes(n, lanes);
+fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> Vec<Vec<usize>> {
     let mut per_lane = vec![Vec::new(); lanes];
-    for (lane, syndrome) in per_lane.iter_mut().enumerate() {
+    for syndrome in per_lane.iter_mut() {
         for _ in 0..rng.gen_range(0..6) {
             let d = rng.gen_range(0..n);
             if !syndrome.contains(&d) {
                 syndrome.push(d);
-                batch.set(d, lane, true);
             }
         }
         syndrome.sort_unstable();
     }
-    (batch, per_lane)
+    per_lane
+}
+
+/// `lanes` syndromes sampled from `g`'s own error model.
+fn sampled_batch(rng: &mut StdRng, g: &DecodingGraph, lanes: usize) -> Vec<Vec<usize>> {
+    (0..lanes).map(|_| g.sample_errors(rng).0).collect()
 }
 
 proptest! {
@@ -124,15 +148,15 @@ proptest! {
         let (g, rounds_of) = layered_graph(&mut rng, rounds, chains);
         let window = window.min(rounds as u32);
         let commit = rng.gen_range(1..window + 1);
-        let windowed = WindowedDecoder::new(
+        let windowed = Arc::new(WindowedDecoder::new(
             g,
             rounds_of,
             WindowConfig::new(window).with_commit(commit),
             backend.factory(),
-        );
+        ));
         let lanes = rng.gen_range(1..65);
-        let (batch, per_lane) = random_batch(&mut rng, rounds * chains, lanes);
-        let predictions = windowed.decode_history(&batch);
+        let per_lane = random_batch(&mut rng, rounds * chains, lanes);
+        let predictions = stream(&windowed, &per_lane);
         prop_assert_eq!(predictions.len(), lanes);
         for (lane, syndrome) in per_lane.iter().enumerate() {
             prop_assert_eq!(
@@ -156,15 +180,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
         let (g, rounds_of) = layered_graph(&mut rng, rounds, chains);
         let inner = backend.build(g.clone());
-        let windowed =
-            WindowedDecoder::new(g, rounds_of, WindowConfig::new(rounds as u32), backend.factory());
+        let windowed = Arc::new(WindowedDecoder::new(
+            g,
+            rounds_of,
+            WindowConfig::new(rounds as u32),
+            backend.factory(),
+        ));
         prop_assert_eq!(windowed.num_windows(), 1);
         let lanes = rng.gen_range(1..65);
-        let (batch, _) = random_batch(&mut rng, rounds * chains, lanes);
-        let streamed = windowed.decode_history(&batch);
-        let mut full = Vec::new();
-        inner.decode_batch(&batch, &mut full);
-        prop_assert_eq!(streamed, full);
+        let per_lane = random_batch(&mut rng, rounds * chains, lanes);
+        prop_assert_eq!(stream(&windowed, &per_lane), decode_each(inner.as_ref(), &per_lane));
     }
 
     /// On sampled sparse noise, a window with ≥ 3 rounds of lookahead
@@ -181,23 +206,19 @@ proptest! {
         // the 4 rounds of lookahead, the regime the guarantee covers.
         let (g, rounds_of) = layered_graph_with(&mut rng, rounds, chains, 0.002, 0.015);
         let inner = backend.build(g.clone());
-        let windowed = WindowedDecoder::new(
+        let windowed = Arc::new(WindowedDecoder::new(
             g.clone(),
             rounds_of,
             WindowConfig::new(6).with_commit(2),
             backend.factory(),
+        ));
+        let per_lane = sampled_batch(&mut rng, &g, 64);
+        prop_assert_eq!(
+            stream(&windowed, &per_lane),
+            decode_each(inner.as_ref(), &per_lane),
+            "{:?}",
+            backend
         );
-        let mut batch = BitBatch::zeros(rounds * chains);
-        for lane in 0..64 {
-            let (syndrome, _) = g.sample_errors(&mut rng);
-            for &d in &syndrome {
-                batch.set(d, lane, true);
-            }
-        }
-        let streamed = windowed.decode_history(&batch);
-        let mut full = Vec::new();
-        inner.decode_batch(&batch, &mut full);
-        prop_assert_eq!(streamed, full, "{:?}", backend);
     }
 }
 
@@ -220,24 +241,15 @@ fn multiple_observable_bits_survive_windowing() {
     }
     let rounds_of: Vec<u32> = (0..rounds * 2).map(|i| (i / 2) as u32).collect();
     let inner = MwpmDecoder::new(g.clone());
-    let windowed = WindowedDecoder::new(
+    let windowed = Arc::new(WindowedDecoder::new(
         g.clone(),
         rounds_of,
         WindowConfig::new(6).with_commit(2),
         DecoderFactory::new(|wg| Box::new(MwpmDecoder::new(wg))),
-    );
+    ));
     // Sampled noise: both observable bits stream bit-identically.
-    let mut batch = BitBatch::zeros(rounds * 2);
-    for lane in 0..64 {
-        let (syndrome, _) = g.sample_errors(&mut rng);
-        for &d in &syndrome {
-            batch.set(d, lane, true);
-        }
-    }
-    let streamed = windowed.decode_history(&batch);
-    let mut full = Vec::new();
-    inner.decode_batch(&batch, &mut full);
-    assert_eq!(streamed, full);
+    let per_lane = sampled_batch(&mut rng, &g, 64);
+    assert_eq!(stream(&windowed, &per_lane), decode_each(&inner, &per_lane));
     // Adversarial syndromes: the streamed result may differ from the full
     // decode, but only ever flips the graph's two observable bits.
     for trial in 0..200 {

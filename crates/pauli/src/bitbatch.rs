@@ -5,7 +5,7 @@
 //! or measurement record), with lane `b` of the batch living in bit `b` of
 //! every row's word. XOR-ing an error mask into a detector row applies it
 //! to up to 64 shots simultaneously, which is what makes the batch sampler
-//! in `surf-sim` and the `decode_batch` path in `surf-matching` fast.
+//! and the round streams in `surf-sim` fast.
 //!
 //! The layout is the transpose of [`crate::BitVec`]: a `BitVec` packs many
 //! bits of one shot into each word, a `BitBatch` packs the same bit of
@@ -183,19 +183,6 @@ impl BitBatch {
         self.words[bit].count_ones() as usize
     }
 
-    /// Collects the bit rows set in shot `lane` into `out` (cleared first),
-    /// in increasing order — the sparse-syndrome form the decoders consume.
-    pub fn lane_ones_into(&self, lane: usize, out: &mut Vec<usize>) {
-        assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
-        out.clear();
-        let probe = 1u64 << lane;
-        for (bit, &word) in self.words.iter().enumerate() {
-            if word & probe != 0 {
-                out.push(bit);
-            }
-        }
-    }
-
     /// Extracts shot `lane` as a dense [`BitVec`] over the bit rows.
     pub fn extract_lane(&self, lane: usize) -> BitVec {
         assert!(lane < self.lanes, "lane {lane} out of range {}", self.lanes);
@@ -271,16 +258,13 @@ mod tests {
         b.xor_word(1, 1 << 7);
         b.xor_word(4, 1 << 7);
         b.xor_word(4, 1 << 9);
-        let mut ones = Vec::new();
-        b.lane_ones_into(7, &mut ones);
-        assert_eq!(ones, vec![1, 4]);
-        b.lane_ones_into(9, &mut ones);
-        assert_eq!(ones, vec![4]);
-        b.lane_ones_into(0, &mut ones);
-        assert!(ones.is_empty());
         let v = b.extract_lane(7);
         assert_eq!(v.len(), 6);
         assert!(v.get(1) && v.get(4) && !v.get(0));
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![1, 4]);
+        let ones = |lane| b.extract_lane(lane).iter_ones().collect::<Vec<_>>();
+        assert_eq!(ones(9), vec![4]);
+        assert!(ones(0).is_empty());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`BitVec`] — a bit-packed boolean vector used by the dense tableau
 //!   simulator in `surf-stabilizer`.
 //! * [`BitBatch`] — the transposed batch layout (one `u64` word = 64 shots
-//!   per qubit/detector) shared by the batch sampler in `surf-sim` and the
-//!   `decode_batch` path in `surf-matching`.
+//!   per qubit/detector) behind the batch sampler and round streams in
+//!   `surf-sim`.
 //! * [`gf2`] — Gaussian elimination, rank, solving, and span membership over
 //!   GF(2), used for logical-operator rerouting and code validity checks.
 //!

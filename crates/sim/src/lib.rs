@@ -6,15 +6,15 @@
 //!   patch produced by the Surf-Deformer instructions, including
 //!   super-stabilizer gauge groups with period-2 measurement cadences;
 //! * [`MemoryExperiment`] — samples X-/Z-basis memory experiments in
-//!   parallel, 64 bit-packed shots at a time ([`BatchSampler`]), and
-//!   decodes them through the shared [`Decoder`] trait (MWPM or
-//!   union-find), either whole-history
-//!   ([`run_basis`](MemoryExperiment::run_basis)) or streamed through a
-//!   sliding-window decoder
-//!   ([`run_stream`](MemoryExperiment::run_stream) with a
-//!   [`StreamConfig`], with defect schedules and time-varying geometry),
-//!   fed by one [`RoundStream`] read round by round or, in sparse mode,
-//!   by firing events only;
+//!   parallel, 64 bit-packed shots at a time, and decodes them through
+//!   the shared [`Decoder`] trait (MWPM or union-find) on one path:
+//!   [`run_stream`](MemoryExperiment::run_stream) with a
+//!   [`StreamConfig`] (window split, defect schedules, time-varying
+//!   geometry, sharding) feeds windowed decode sessions from one
+//!   [`RoundStream`] read round by round or, in sparse mode, by firing
+//!   events only. [`run`](MemoryExperiment::run) and
+//!   [`run_basis`](MemoryExperiment::run_basis) are that path with one
+//!   full-history window;
 //! * [`TimelineModel`] / [`PeriodicModel`] — one detector model over a
 //!   deforming patch's whole timeline, materialised or served by round
 //!   from a periodic template;

@@ -19,8 +19,8 @@ use surf_matching::{
 };
 use surf_pauli::BitBatch;
 
-use crate::model::{DecoderPrior, DetectorModel};
-use crate::noise::{NoiseParams, QubitNoise};
+use crate::model::DecoderPrior;
+use crate::noise::NoiseParams;
 use crate::service::SessionConfig;
 
 /// Which decoder backend to use.
@@ -334,61 +334,24 @@ impl MemoryExperiment {
         }
     }
 
-    /// Runs `shots` shots per basis, parallelised over available cores.
+    /// Runs `shots` shots per basis, parallelised over available cores:
+    /// [`run_stream`](Self::run_stream) with one full-history window
+    /// (`rounds + 1`), so every shot is decoded over its whole syndrome
+    /// history. For a shard of the run, use `run_stream` with
+    /// [`StreamConfig::with_shard`].
     pub fn run(&self, shots: u64, seed: u64) -> MemoryStats {
-        self.run_shard(shots, seed, Shard::solo())
+        self.run_stream(&StreamConfig::new(shots, seed, self.rounds + 1))
     }
 
-    /// Runs one shard of a `shots`-shot-per-basis run: only the 64-shot
-    /// batches owned by `shard` are sampled and decoded, and the returned
-    /// [`MemoryStats::shots`] counts exactly those. Merging all shards
-    /// with [`MemoryStats::merge`] reproduces [`run`](Self::run) exactly,
-    /// so shot ranges shard trivially across processes and hosts.
-    pub fn run_shard(&self, shots: u64, seed: u64, shard: Shard) -> MemoryStats {
-        let failures_z = self.run_basis_shard(Basis::Z, shots, seed, shard);
-        let failures_x = self.run_basis_shard(Basis::X, shots, seed ^ 0x9E37_79B9_7F4A_7C15, shard);
-        MemoryStats {
-            shots: shard.shots_of(shots),
-            failures_z_memory: failures_z,
-            failures_x_memory: failures_x,
-        }
-    }
-
-    /// Runs one basis and returns the failure count.
-    ///
-    /// Shots are processed in 64-lane bit-packed batches: each worker
-    /// thread samples a [`BitBatch`] through the model's
-    /// [`BatchSampler`](crate::BatchSampler), decodes it through the shared
-    /// [`Decoder`] trait object (whose `decode_batch` reuses its scratch
-    /// across the batch), and counts prediction/observable mismatches
-    /// word-at-a-time.
-    ///
-    /// Every batch draws its RNG from a SplitMix64 stream indexed by the
-    /// *batch number*, not the worker thread, so the returned count is
-    /// identical no matter how many threads run.
+    /// Runs one basis over the full history and returns the failure count:
+    /// [`run_stream_basis`](Self::run_stream_basis) with one
+    /// `rounds + 1`-round window, so the count is a pure function of
+    /// `(shots, seed)` whatever the thread count.
     pub fn run_basis(&self, memory_basis: Basis, shots: u64, seed: u64) -> u64 {
-        self.run_basis_shard(memory_basis, shots, seed, Shard::solo())
-    }
-
-    /// [`run_basis`](Self::run_basis) restricted to the batches owned by
-    /// `shard` (see [`run_shard`](Self::run_shard)).
-    pub fn run_basis_shard(&self, memory_basis: Basis, shots: u64, seed: u64, shard: Shard) -> u64 {
-        let noise = QubitNoise::new(self.noise, self.kept_defects.clone());
-        let model =
-            DetectorModel::build(&self.patch, memory_basis, self.rounds, &noise, self.prior);
-        let decoder = self.decoder.build(model.graph.clone());
-        run_batches_shard(shots, seed, available_threads(shots), shard, || {
-            let sampler = model.batch_sampler();
-            let decoder = decoder.as_ref();
-            let mut batch = BitBatch::zeros(model.num_detectors);
-            let mut predictions = Vec::with_capacity(BitBatch::LANES);
-            move |rng: &mut StdRng, lanes: usize| {
-                batch.set_lanes(lanes);
-                let true_obs = sampler.sample_into(rng, &mut batch);
-                decoder.decode_batch(&batch, &mut predictions);
-                count_failures(&predictions, true_obs, batch.lane_mask())
-            }
-        })
+        self.run_stream_basis(
+            memory_basis,
+            &StreamConfig::new(shots, seed, self.rounds + 1),
+        )
     }
 
     /// The [`SessionConfig`] this experiment streams under: its patch at
@@ -410,8 +373,11 @@ impl MemoryExperiment {
     /// emitted round-major and decoded on the fly by sliding-window
     /// [`DecodeSession`](crate::DecodeSession)s, exactly as a real-time
     /// decoder would consume them — and returns the merged counts. The
-    /// X-basis seed is decorrelated from the Z-basis seed exactly as in
-    /// [`run_shard`](Self::run_shard).
+    /// X-basis memory runs at `seed ^ 0x9E37_79B9_7F4A_7C15`, decorrelated
+    /// from the Z basis. With [`StreamConfig::with_shard`] only the shard's
+    /// batches run, [`MemoryStats::shots`] counts exactly those, and
+    /// merging every shard with [`MemoryStats::merge`] reproduces the
+    /// unsharded stats.
     pub fn run_stream(&self, config: &StreamConfig) -> MemoryStats {
         let failures_z = self.run_stream_basis(Basis::Z, config);
         let mut x_config = config.clone();
@@ -439,10 +405,12 @@ impl MemoryExperiment {
     /// single-host result exactly.
     ///
     /// For `window >= rounds + 1` the windowed decoder degenerates to one
-    /// full-history window and the count is bit-identical to
-    /// [`run_basis`](Self::run_basis) with the same seed; for
-    /// `window >= 2·d` it remains bit-identical at realistic noise (the
-    /// equivalence suite in `tests/streaming_equivalence.rs` proves both).
+    /// full-history window, which decodes each shot's whole syndrome
+    /// history through the backend exactly once (this is
+    /// [`run_basis`](Self::run_basis)); for `window >= 2·d` the count
+    /// stays bit-identical to that at realistic noise (the equivalence
+    /// suite in `tests/streaming_equivalence.rs` checks both against an
+    /// independent per-lane decode).
     ///
     /// With [`StreamConfig::with_sparse`] set, rounds are sampled as sparse
     /// events, silent stretches are bulk-advanced, and defect-free
@@ -463,7 +431,7 @@ impl MemoryExperiment {
         session_config.sparse = config.session.sparse;
         let proto = session_config.open(1);
         if config.session.sparse {
-            return run_batches_shard(config.shots, config.seed, threads, config.shard, || {
+            return run_batches(config.shots, config.seed, threads, config.shard, || {
                 let proto = &proto;
                 let mut stream = proto.round_stream();
                 move |rng: &mut StdRng, lanes: usize| {
@@ -496,7 +464,7 @@ impl MemoryExperiment {
                 }
             });
         }
-        run_batches_shard(config.shots, config.seed, threads, config.shard, || {
+        run_batches(config.shots, config.seed, threads, config.shard, || {
             let proto = &proto;
             let mut stream = proto.round_stream();
             move |rng: &mut StdRng, lanes: usize| {
@@ -547,7 +515,7 @@ fn count_failures(predictions: &[u64], true_obs: u64, mask: u64) -> u64 {
 /// count exactly. `setup` runs once per worker and returns the per-batch
 /// closure (sample + decode + count), letting each worker keep its own
 /// sampler/scratch state.
-fn run_batches_shard<S, F>(shots: u64, seed: u64, threads: usize, shard: Shard, setup: S) -> u64
+fn run_batches<S, F>(shots: u64, seed: u64, threads: usize, shard: Shard, setup: S) -> u64
 where
     S: Fn() -> F + Sync,
     F: FnMut(&mut StdRng, usize) -> u64,

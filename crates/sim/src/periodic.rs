@@ -1,9 +1,9 @@
 //! Periodic model compilation: detector models O(1) in the horizon.
 //!
-//! [`TimelineModel::build_scheduled`] materialises every round's channels
-//! and detectors up front — O(rounds) memory — which caps how far the
-//! sparse streaming stack can run (a 10⁶-round compile allocates gigabytes
-//! before the first shot). Real QEC control stacks instead compile one
+//! [`TimelineModel::build_scheduled`](crate::TimelineModel::build_scheduled)
+//! materialises every round's channels and detectors up front —
+//! O(rounds) memory — which caps how far the sparse streaming stack can
+//! run (a 10⁶-round compile allocates gigabytes before the first shot). Real QEC control stacks instead compile one
 //! periodic syndrome-extraction template per steady-state stretch and
 //! index it by round.
 //!
@@ -12,9 +12,10 @@
 //! starts/ends — the same boundaries `TimelineModel` already segments
 //! noise at) into stretches of piecewise-constant geometry and noise.
 //! Each long stretch keeps literal margins plus one template period in a
-//! *compressed* timeline, which is compiled monolithically (so every
-//! boundary effect — init/final/straddle/merge/reconstruction detectors —
-//! stays explicit and exact); the steady-state middle is served by index
+//! *compressed* timeline, whose channels and detectors are compiled
+//! monolithically (so every boundary effect — init/final/straddle/merge/
+//! reconstruction detectors — stays explicit and exact; no decoding graph
+//! is built for it); the steady-state middle is served by index
 //! arithmetic from the template. Resident memory is O(epochs + compressed
 //! rounds), independent of the horizon.
 //!
@@ -49,7 +50,7 @@ use surf_pauli::BitBatch;
 use crate::model::DecoderPrior;
 use crate::noise::NoiseParams;
 use crate::sampler::{geometric_fires, GEOMETRIC_THRESHOLD};
-use crate::timeline::TimelineModel;
+use crate::timeline::TimelineChannels;
 
 /// Literal rounds kept on each side of every stretch: wide enough that
 /// every boundary-affected channel (straddle detectors, init/merge/final
@@ -299,12 +300,12 @@ pub struct PeriodicScratch {
 ///
 /// Built by [`PeriodicModel::build`]; `None` means the model could not be
 /// proven periodic and the caller must fall back to the monolithic
-/// [`TimelineModel`] path. See the module docs for the bit-identity
+/// [`TimelineModel`](crate::TimelineModel) path. See the module docs for the bit-identity
 /// contract.
 #[derive(Clone, Debug)]
 pub struct PeriodicModel {
     map: RoundMap,
-    compressed: TimelineModel,
+    compressed: TimelineChannels,
     rounds: u32,
     num_detectors: usize,
     blocks: Vec<Block>,
@@ -334,8 +335,10 @@ pub struct PeriodicModel {
 impl PeriodicModel {
     /// Compiles the periodic template model for a scheduled timeline, or
     /// `None` when the horizon has no provably-periodic steady state (the
-    /// caller then uses [`TimelineModel::build_scheduled`] directly; both
-    /// paths are bit-identical wherever this returns `Some`).
+    /// caller then uses
+    /// [`TimelineModel::build_scheduled`](crate::TimelineModel::build_scheduled)
+    /// directly; both paths are bit-identical wherever this returns
+    /// `Some`).
     pub fn build(
         timeline: &PatchTimeline,
         memory_basis: Basis,
@@ -392,19 +395,13 @@ impl PeriodicModel {
                 end: ep.end.map(clamp),
                 defects: ep.defects.clone(),
             }));
-        let compressed = TimelineModel::build_scheduled(
-            &ctl,
-            memory_basis,
-            map.comp_rounds,
-            params,
-            &csched,
-            prior,
-        );
+        let compressed =
+            TimelineChannels::compile(&ctl, memory_basis, map.comp_rounds, params, &csched, prior);
 
         // Detector blocks: maximal id runs with template rounds, each
         // validated against its literal previous period.
-        let det_rounds = &compressed.model.detector_rounds;
-        let comp_dets = compressed.model.num_detectors as u32;
+        let det_rounds = &compressed.detector_rounds;
+        let comp_dets = compressed.num_detectors as u32;
         let mut blocks: Vec<Block> = Vec::new();
         let mut pre: Vec<u32> = vec![0];
         let mut inserted = 0u32;
@@ -469,7 +466,7 @@ impl PeriodicModel {
         // detector ids; template runs are validated channel-by-channel
         // against the literal previous period and keep (base, stride)
         // extrapolation rules.
-        let chans = &compressed.model.channels;
+        let chans = &compressed.channels;
         let n = chans.len();
         let mut info = vec![ChanInfo::Lit(u32::MAX); n];
         let mut lits: Vec<LitChan> = Vec::new();
@@ -727,7 +724,7 @@ impl PeriodicModel {
     fn translatable_segments(&self) -> Vec<bool> {
         let mut ok: Vec<bool> = self.map.segs.iter().map(Seg::template).collect();
         for run in &self.runs {
-            let comp_round = self.compressed.model.channels[run.first_chan as usize].round;
+            let comp_round = self.compressed.channels[run.first_chan as usize].round;
             let Some(si) = self.map.template_seg_of_comp(comp_round) else {
                 continue;
             };
@@ -762,7 +759,8 @@ impl PeriodicModel {
     }
 
     /// Whether observable threading succeeded for every epoch (same
-    /// meaning as [`TimelineModel::observable_threaded`]).
+    /// meaning as
+    /// [`TimelineModel::observable_threaded`](crate::TimelineModel::observable_threaded)).
     pub fn observable_threaded(&self) -> bool {
         self.compressed.observable_threaded
     }
@@ -1010,7 +1008,7 @@ impl RoundModelSource for PeriodicModel {
     fn detector_round(&self, det: u32) -> u32 {
         let (v, j) = self.compress_det(det);
         self.map
-            .to_real(self.compressed.model.detector_rounds[v as usize], j)
+            .to_real(self.compressed.detector_rounds[v as usize], j)
     }
 
     fn detectors_in(&self, rounds: Range<u32>, out: &mut Vec<u32>) {
@@ -1131,7 +1129,7 @@ impl RoundModelSource for PeriodicModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseBatch;
+    use crate::{SparseBatch, TimelineModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use surf_defects::DefectMap;

@@ -256,6 +256,64 @@ impl TimelineModel {
         schedule: &DefectSchedule,
         prior: DecoderPrior,
     ) -> TimelineModel {
+        let parts =
+            TimelineChannels::compile(timeline, memory_basis, rounds, params, schedule, prior);
+        let graph = epoch_ordered(
+            graph_from_channels(parts.num_detectors, &parts.channels),
+            &parts.epoch_detectors,
+        );
+        TimelineModel {
+            model: DetectorModel {
+                graph,
+                channels: parts.channels,
+                num_detectors: parts.num_detectors,
+                detector_rounds: parts.detector_rounds,
+            },
+            epoch_starts: parts.epoch_starts,
+            epoch_detectors: parts.epoch_detectors,
+            remaps: parts.remaps,
+            observable_threaded: parts.observable_threaded,
+        }
+    }
+
+    /// Number of epochs.
+    pub fn num_epochs(&self) -> usize {
+        self.epoch_starts.len()
+    }
+
+    /// The rounds at which the geometry changes.
+    pub fn deformation_rounds(&self) -> &[u32] {
+        &self.epoch_starts[1..]
+    }
+}
+
+/// Everything [`TimelineModel::build_scheduled`] compiles except the
+/// decoding graph: the sampler channels, the detector layout and the
+/// per-boundary bookkeeping. [`PeriodicModel`](crate::PeriodicModel)
+/// compiles its compressed horizon to this alone, since it serves window
+/// edges from the channels and never reads a whole-horizon graph.
+#[derive(Clone, Debug)]
+pub(crate) struct TimelineChannels {
+    pub(crate) channels: Vec<Channel>,
+    pub(crate) num_detectors: usize,
+    pub(crate) detector_rounds: Vec<u32>,
+    pub(crate) epoch_starts: Vec<u32>,
+    pub(crate) epoch_detectors: Vec<Range<usize>>,
+    pub(crate) remaps: Vec<DetectorRemap>,
+    pub(crate) observable_threaded: bool,
+}
+
+impl TimelineChannels {
+    /// The shared core of [`TimelineModel::build_scheduled`] (same
+    /// arguments and panics).
+    pub(crate) fn compile(
+        timeline: &PatchTimeline,
+        memory_basis: Basis,
+        rounds: u32,
+        params: NoiseParams,
+        schedule: &DefectSchedule,
+        prior: DecoderPrior,
+    ) -> TimelineChannels {
         assert!(rounds > 0, "at least one measurement round required");
         let epochs = timeline.epochs();
         assert!(
@@ -695,32 +753,15 @@ impl TimelineModel {
             });
         }
 
-        let graph = epoch_ordered(
-            graph_from_channels(num_detectors, &channels),
-            &epoch_detectors,
-        );
-        TimelineModel {
-            model: DetectorModel {
-                graph,
-                channels,
-                num_detectors,
-                detector_rounds,
-            },
+        TimelineChannels {
+            channels,
+            num_detectors,
+            detector_rounds,
             epoch_starts: epochs.iter().map(|e| e.start).collect(),
             epoch_detectors,
             remaps,
             observable_threaded,
         }
-    }
-
-    /// Number of epochs.
-    pub fn num_epochs(&self) -> usize {
-        self.epoch_starts.len()
-    }
-
-    /// The rounds at which the geometry changes.
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.epoch_starts[1..]
     }
 }
 

@@ -162,8 +162,8 @@ fn frame_batch_matches_scalar_frame_in_aggregate() {
 
 #[test]
 fn pipeline_matches_scalar_reference() {
-    // End-to-end: the batched run_basis must reproduce the failure rate of
-    // a hand-rolled scalar sample → decode loop.
+    // End-to-end: the batched, streamed `run` must reproduce the failure
+    // rate of a hand-rolled scalar sample → per-shot decode loop.
     let mut exp = MemoryExperiment::standard(Patch::rotated(3));
     exp.noise = NoiseParams::uniform(0.01);
     exp.rounds = 3;

@@ -54,6 +54,20 @@ fn rows_filled(backends: &Mutex<Vec<Arc<MwpmDecoder>>>) -> Vec<u64> {
         .collect()
 }
 
+/// Feeds `batch` round by round through a fresh session of `windowed`.
+fn stream(windowed: &Arc<WindowedDecoder>, batch: &BitBatch) -> Vec<u64> {
+    let mut session = Arc::clone(windowed).into_session(batch.lanes());
+    for round in 0..windowed.total_rounds() {
+        let detectors = windowed.round_detectors(round);
+        let words: Vec<u64> = detectors
+            .iter()
+            .map(|&det| batch.word(det as usize))
+            .collect();
+        session.push_round(round, detectors, &words);
+    }
+    session.finish()
+}
+
 #[test]
 fn pair_rows_fill_once_per_backend_detector() {
     let d = 5;
@@ -61,12 +75,12 @@ fn pair_rows_fill_once_per_backend_detector() {
     let noise = QubitNoise::new(NoiseParams::paper(), DefectMap::new());
     let model = DetectorModel::build(&patch, Basis::Z, 30, &noise, DecoderPrior::Informed);
     let backends = Arc::new(Mutex::new(Vec::new()));
-    let windowed = WindowedDecoder::new(
+    let windowed = Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         WindowConfig::new(10).with_commit(5),
         recording_factory(Arc::clone(&backends)),
-    );
+    ));
     let sampler = model.batch_sampler();
     let mut rng = StdRng::seed_from_u64(0x7AB1E);
     let batches: Vec<BitBatch> = (0..8)
@@ -76,7 +90,7 @@ fn pair_rows_fill_once_per_backend_detector() {
             batch
         })
         .collect();
-    let first: Vec<Vec<u64>> = batches.iter().map(|b| windowed.decode_history(b)).collect();
+    let first: Vec<Vec<u64>> = batches.iter().map(|b| stream(&windowed, b)).collect();
     let filled = rows_filled(&backends);
     assert!(
         (2..=8).contains(&filled.len()),
@@ -92,7 +106,7 @@ fn pair_rows_fill_once_per_backend_detector() {
         "no decode reached the pair table"
     );
     // The same stream again: same answers, no new backend, no new row.
-    let second: Vec<Vec<u64>> = batches.iter().map(|b| windowed.decode_history(b)).collect();
+    let second: Vec<Vec<u64>> = batches.iter().map(|b| stream(&windowed, b)).collect();
     assert_eq!(second, first);
     assert_eq!(
         rows_filled(&backends),

@@ -1,13 +1,17 @@
 //! Multi-host sharding: batch-indexed seeding makes shot ranges shard
 //! losslessly.
 //!
-//! Every runner seeds each 64-shot batch from a SplitMix64 stream at the
+//! The runner seeds each 64-shot batch from a SplitMix64 stream at the
 //! *global* batch index, so shard `k` of `n` (owning batches `k`, `k+n`,
 //! `k+2n`, …) samples exactly the lanes the single-host run would — the
 //! shards' failure counts sum to the unsharded count, bit for bit.
 
 use surf_lattice::{Basis, Patch};
 use surf_sim::{MemoryExperiment, MemoryStats, NoiseParams, Shard, StreamConfig};
+
+mod common;
+
+use common::whole_history_failures;
 
 fn experiment() -> MemoryExperiment {
     let mut exp = MemoryExperiment::standard(Patch::rotated(3));
@@ -22,10 +26,12 @@ fn shards_merge_to_the_unsharded_count_exactly() {
     // Every tail alignment a 64-lane batch can end on: a lone partial
     // batch, exact multiples, one-past boundaries, and 500 shots = 7 full
     // batches + a partial tail, where shards split unevenly and one shard
-    // owns the tail. Both the whole-history and the streamed runner must
+    // owns the tail. Both a full-history window (whose merge must reach
+    // the single-threaded whole-history oracle) and a sliding window must
     // hand the partial tail to exactly one shard.
     for shots in [1u64, 63, 64, 65, 127, 128, 129, 500] {
-        let reference = exp.run_basis(Basis::Z, shots, 42);
+        let reference = whole_history_failures(&exp, Basis::Z, shots, 42);
+        let full_history = StreamConfig::new(shots, 42, exp.rounds + 1);
         let stream = StreamConfig::new(shots, 42, 2 * exp.rounds);
         let stream_reference = exp.run_stream_basis(Basis::Z, &stream);
         for count in [2u64, 3, 16] {
@@ -34,7 +40,7 @@ fn shards_merge_to_the_unsharded_count_exactly() {
             let mut owned = 0;
             for index in 0..count {
                 let shard = Shard::new(index, count);
-                merged += exp.run_basis_shard(Basis::Z, shots, 42, shard);
+                merged += exp.run_stream_basis(Basis::Z, &full_history.clone().with_shard(shard));
                 stream_merged += exp.run_stream_basis(Basis::Z, &stream.clone().with_shard(shard));
                 owned += shard.shots_of(shots);
             }
@@ -49,14 +55,19 @@ fn shards_merge_to_the_unsharded_count_exactly() {
 }
 
 #[test]
-fn run_shard_stats_merge_exactly() {
+fn sharded_stream_stats_merge_exactly() {
     let exp = experiment();
     let shots = 300;
     let full = exp.run(shots, 7);
+    let config = StreamConfig::new(shots, 7, exp.rounds + 1);
     let merged = (0..3)
-        .map(|k| exp.run_shard(shots, 7, Shard::new(k, 3)))
+        .map(|k| exp.run_stream(&config.clone().with_shard(Shard::new(k, 3))))
         .fold(MemoryStats::default(), MemoryStats::merge);
     assert_eq!(merged, full);
+    assert_eq!(
+        full.failures_z_memory,
+        whole_history_failures(&exp, Basis::Z, shots, 7)
+    );
 }
 
 #[test]
@@ -66,7 +77,8 @@ fn oversized_shard_counts_yield_empty_shards() {
     for index in 2..5 {
         let shard = Shard::new(index, 5);
         assert_eq!(shard.shots_of(100), 0);
-        assert_eq!(exp.run_basis_shard(Basis::Z, 100, 3, shard), 0);
+        let config = StreamConfig::new(100, 3, exp.rounds + 1).with_shard(shard);
+        assert_eq!(exp.run_stream_basis(Basis::Z, &config), 0);
     }
 }
 

@@ -1,18 +1,20 @@
-//! Streamed decoding against the full-history batch decode.
+//! Streamed decoding against an independent whole-history decode.
 //!
 //! The headline guarantee of the streaming subsystem: for windows of at
 //! least `2·d` rounds (commit `d`, look ahead `d`), the logical outcome
-//! of windowed decoding is **bit-identical** to running `decode_batch`
-//! on the complete syndrome history — for both decoder backends, with
-//! and without a defect landing mid-stream. On top of that:
+//! of windowed decoding is **bit-identical** to decoding each shot's
+//! complete syndrome history with the inner backend's scalar `decode` —
+//! for both decoder backends, with and without a defect landing
+//! mid-stream. On top of that:
 //!
-//! * `run_stream_basis` with a full-history window reproduces
-//!   `run_basis` exactly (same seed ⇒ same failure count), locking the
-//!   streamed sampling path to the batch path bit for bit;
-//! * both runners are *thread-count independent*: batches draw their RNG
+//! * `run_basis` (the streamed runner with one full-history window)
+//!   reproduces the failure count of a single-threaded sample → per-lane
+//!   decode oracle (`common`) exactly, on clean and cosmic-ray-struck
+//!   patches, in both bases, with both backends, and so does
+//!   `run_stream_basis` at window `2·d` on a clean patch;
+//! * the runner is *thread-count independent*: batches draw their RNG
 //!   from a SplitMix64 stream indexed by batch number, so 1 worker and 8
-//!   workers produce identical counts (the regression test the PR 2
-//!   seeding fix never had);
+//!   workers produce the oracle's count;
 //! * the guarantee holds at the distances deformation targets (d = 13,
 //!   17, 21), where a commit cut has hundreds of carry targets, and for
 //!   a virtual session over the periodic model at d = 13.
@@ -33,14 +35,18 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use surf_defects::{DefectEvent, DefectMap, DefectSchedule};
-use surf_deformer_core::PatchTimeline;
+use surf_defects::{CosmicRayModel, DefectEvent, DefectMap, DefectSchedule};
+use surf_deformer_core::{AscS, MitigationStrategy, PatchTimeline, Untreated};
 use surf_lattice::{Basis, Coord, Patch};
 use surf_matching::{Decoder, RoundModelSource, WindowConfig, WindowedDecoder};
 use surf_sim::{
     BitBatch, DecoderKind, DecoderPrior, DetectorModel, MemoryExperiment, NoiseParams,
     PeriodicModel, QubitNoise, StreamConfig, TimelineModel,
 };
+
+mod common;
+
+use common::whole_history_failures;
 
 const D: usize = 3;
 const ROUNDS: u32 = 8;
@@ -66,8 +72,33 @@ fn defect_model(p: f64, round: u32, rate: f64) -> DetectorModel {
     base.splice(&late, round)
 }
 
+/// The inner backend's scalar decode of each lane's whole syndrome.
+fn decode_lanes(full: &dyn Decoder, batch: &BitBatch) -> Vec<u64> {
+    (0..batch.lanes())
+        .map(|lane| {
+            let syndrome: Vec<usize> = batch.extract_lane(lane).iter_ones().collect();
+            full.decode(&syndrome)
+        })
+        .collect()
+}
+
+/// Feeds `batch` round by round through a fresh session of `windowed`.
+fn stream_batch(windowed: &Arc<WindowedDecoder>, batch: &BitBatch) -> Vec<u64> {
+    let mut session = Arc::clone(windowed).into_session(batch.lanes());
+    for round in 0..windowed.total_rounds() {
+        let detectors = windowed.round_detectors(round);
+        let words: Vec<u64> = detectors
+            .iter()
+            .map(|&det| batch.word(det as usize))
+            .collect();
+        session.push_round(round, detectors, &words);
+    }
+    session.finish()
+}
+
 /// Asserts that the windowed decoder commits, per lane, exactly the
-/// full-batch prediction over `batches` sampled batches of `lanes` shots.
+/// whole-history prediction over `batches` sampled batches of `lanes`
+/// shots.
 fn assert_bit_identical(
     model: &DetectorModel,
     kind: DecoderKind,
@@ -77,20 +108,19 @@ fn assert_bit_identical(
     lanes: usize,
 ) {
     let full = kind.build(model.graph.clone());
-    let windowed = WindowedDecoder::new(
+    let windowed = Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         config,
         kind.factory(),
-    );
+    ));
     let sampler = model.batch_sampler();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut batch = BitBatch::with_lanes(model.num_detectors, lanes);
-    let mut reference = Vec::new();
     for index in 0..batches {
         sampler.sample_into(&mut rng, &mut batch);
-        full.decode_batch(&batch, &mut reference);
-        let streamed = windowed.decode_history(&batch);
+        let reference = decode_lanes(full.as_ref(), &batch);
+        let streamed = stream_batch(&windowed, &batch);
         assert_eq!(
             streamed, reference,
             "batch {index} diverged ({kind:?}, window {}, commit {})",
@@ -201,9 +231,7 @@ fn virtual_session_at_d13_matches_full_decode() {
     let mut rng = StdRng::seed_from_u64(2113);
     model.batch_sampler().sample_into(&mut rng, &mut batch);
     for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
-        let mut reference = Vec::new();
-        kind.build(model.graph.clone())
-            .decode_batch(&batch, &mut reference);
+        let reference = decode_lanes(kind.build(model.graph.clone()).as_ref(), &batch);
         let decoder = Arc::new(WindowedDecoder::virtual_source(
             Arc::clone(&source) as Arc<dyn RoundModelSource>,
             WindowConfig::new(2 * d as u32),
@@ -260,19 +288,24 @@ proptest! {
 
 #[test]
 fn streamed_full_window_reproduces_run_basis() {
-    // A full-history window makes the streamed pipeline algebraically
-    // identical to the batch pipeline; with the shared per-batch seeding
-    // the failure counts must agree exactly.
+    // A full-history window decodes each shot's whole syndrome once: with
+    // the shared per-batch seeding, `run_basis` and the explicit
+    // full-window stream both reproduce the oracle's count exactly.
     for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
         let mut exp = MemoryExperiment::standard(Patch::rotated(D));
         exp.rounds = ROUNDS;
         exp.noise = NoiseParams::uniform(5e-3);
         exp.decoder = kind;
         for seed in [1u64, 29, 997] {
-            let batch = exp.run_basis(Basis::Z, 300, seed);
+            let oracle = whole_history_failures(&exp, Basis::Z, 300, seed);
             let streamed =
                 exp.run_stream_basis(Basis::Z, &StreamConfig::new(300, seed, ROUNDS + 1));
-            assert_eq!(batch, streamed, "{kind:?} seed {seed}");
+            assert_eq!(streamed, oracle, "{kind:?} seed {seed}");
+            assert_eq!(
+                exp.run_basis(Basis::Z, 300, seed),
+                oracle,
+                "{kind:?} seed {seed}"
+            );
         }
     }
 }
@@ -282,22 +315,90 @@ fn streamed_window_2d_reproduces_run_basis() {
     let mut exp = MemoryExperiment::standard(Patch::rotated(D));
     exp.rounds = ROUNDS;
     exp.noise = NoiseParams::uniform(2e-3);
-    let batch = exp.run_basis(Basis::Z, 512, 7);
+    let oracle = whole_history_failures(&exp, Basis::Z, 512, 7);
     let streamed = exp.run_stream_basis(Basis::Z, &StreamConfig::new(512, 7, 2 * D as u32));
-    assert_eq!(batch, streamed);
+    assert_eq!(streamed, oracle);
+    assert_eq!(exp.run_basis(Basis::Z, 512, 7), oracle);
+}
+
+/// A d = 5 patch struck by the paper's cosmic ray at its centre, then
+/// mitigated by `strategy`: the experiment keeps the strategy's resident
+/// defects at their elevated rates.
+fn struck_experiment(
+    strategy: &dyn MitigationStrategy,
+    prior: DecoderPrior,
+    kind: DecoderKind,
+) -> MemoryExperiment {
+    let d = 5;
+    let base = Patch::rotated(d);
+    let mut universe = base.data_qubits();
+    universe.extend(base.syndrome_qubits());
+    let ray = CosmicRayModel::paper();
+    let defects = DefectMap::from_qubits(
+        ray.affected_region(Coord::new(d as i32, d as i32), &universe),
+        ray.defect_error_rate,
+    );
+    let outcome = strategy.mitigate(&base, &defects);
+    MemoryExperiment {
+        patch: outcome.patch,
+        rounds: d as u32,
+        noise: NoiseParams::paper(),
+        kept_defects: outcome.kept_defects,
+        prior,
+        decoder: kind,
+    }
+}
+
+#[test]
+fn full_history_runs_match_the_oracle_on_struck_patches() {
+    // The cases `run` serves beyond a clean patch: an untreated strike
+    // decoded blind (nominal prior, defects resident at 50 %) and an
+    // ASC-S-deformed patch, in both bases, with both backends.
+    let shots = 320;
+    let untreated_kept = struck_experiment(&Untreated, DecoderPrior::Nominal, DecoderKind::Mwpm);
+    assert!(
+        !untreated_kept.kept_defects.is_empty(),
+        "untreated keeps its defects"
+    );
+    let mut nonzero = 0;
+    for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
+        let cases = [
+            (
+                "untreated",
+                struck_experiment(&Untreated, DecoderPrior::Nominal, kind),
+            ),
+            (
+                "ASC-S",
+                struck_experiment(&AscS, DecoderPrior::Informed, kind),
+            ),
+        ];
+        for (name, exp) in &cases {
+            for (basis, seed) in [(Basis::Z, 31u64), (Basis::X, 37)] {
+                let oracle = whole_history_failures(exp, basis, shots, seed);
+                let run = exp.run_basis(basis, shots, seed);
+                assert_eq!(run, oracle, "{name} {kind:?} {basis:?}");
+                nonzero += usize::from(oracle > 0);
+            }
+        }
+    }
+    assert!(
+        nonzero > 0,
+        "every count was zero: the check compared nothing"
+    );
 }
 
 #[test]
 fn failure_counts_are_thread_count_independent() {
     // Locks in the batch-indexed SplitMix64 seeding: the count is a pure
-    // function of (shots, seed), never of the worker layout. A
-    // full-history window streams the whole-history batch decode, so
-    // `run_basis` is the oracle at every thread count.
+    // function of (shots, seed), never of the worker layout. The
+    // single-threaded whole-history oracle fixes the count a full-history
+    // window must reach at every thread count.
     let mut exp = MemoryExperiment::standard(Patch::rotated(D));
     exp.rounds = 4;
     exp.noise = NoiseParams::uniform(8e-3);
     let shots = 500; // not a multiple of 64: exercises the partial tail batch
-    let reference = exp.run_basis(Basis::Z, shots, 42);
+    let reference = whole_history_failures(&exp, Basis::Z, shots, 42);
+    assert_eq!(exp.run_basis(Basis::Z, shots, 42), reference);
     let full_history = StreamConfig::new(shots, 42, exp.rounds + 1);
     for threads in [1usize, 2, 3, 8] {
         assert_eq!(

@@ -5,7 +5,7 @@
 //! *while they stream* — a sliding window commits corrections for old
 //! rounds as new rounds arrive — and the windows containing the strike
 //! decode on a reweighted graph (the informed prior). The run compares
-//! window sizes against the full-history batch decode and a defect-blind
+//! window sizes against a full-history decode and a defect-blind
 //! decoder, and reports per-window commit latency.
 //!
 //! ```bash
@@ -41,9 +41,9 @@ fn main() {
     exp.rounds = rounds;
     exp.decoder = DecoderKind::Mwpm;
 
-    // Clean reference: no strike, batch pipeline.
+    // Clean reference: no strike, one full-history window.
     let clean = exp.run_basis(Basis::Z, shots, seed);
-    println!("no strike, full-batch decode:      {clean:6} failures");
+    println!("no strike, full-history decode:    {clean:6} failures");
 
     // Struck, decoder blind to the event (nominal prior): the baseline a
     // non-adaptive system pays.

@@ -4,9 +4,8 @@
 use surf_defects::DefectMap;
 use surf_deformer::core::{data_q_rm, syndrome_q_rm};
 use surf_deformer::lattice::{Basis, Coord, Patch};
-use surf_deformer::matching::{Decoder, MwpmDecoder, UnionFindDecoder};
-use surf_deformer::pauli::BitBatch;
-use surf_deformer::sim::{DecoderKind, DecoderPrior, DetectorModel, NoiseParams, QubitNoise};
+use surf_deformer::matching::{MwpmDecoder, UnionFindDecoder};
+use surf_deformer::sim::{DecoderPrior, DetectorModel, NoiseParams, QubitNoise};
 
 fn model(patch: &Patch, rounds: u32) -> DetectorModel {
     let noise = QubitNoise::new(NoiseParams::paper(), DefectMap::new());
@@ -103,37 +102,6 @@ fn mwpm_corrects_error_pairs_at_d5() {
         checked += 1;
     }
     assert!(checked > 1000);
-}
-
-/// The exhaustive single-error check again, but dispatched through the
-/// unified `Decoder` trait and its batch path: both backends, built via
-/// `DecoderKind::build`, must correct batched single-error signatures
-/// exactly as their scalar `decode` does.
-#[test]
-fn trait_batch_path_corrects_single_errors() {
-    let patch = Patch::rotated(3);
-    let m = model(&patch, 3);
-    for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
-        let decoder = kind.build(m.graph.clone());
-        // Pack channel signatures 64 at a time.
-        for chunk in m.channels.chunks(BitBatch::LANES) {
-            let mut batch = BitBatch::with_lanes(m.num_detectors, chunk.len());
-            for (lane, ch) in chunk.iter().enumerate() {
-                for &d in &ch.detectors {
-                    batch.set(d, lane, true);
-                }
-            }
-            let mut predictions = Vec::new();
-            decoder.decode_batch(&batch, &mut predictions);
-            for (lane, ch) in chunk.iter().enumerate() {
-                assert_eq!(
-                    predictions[lane],
-                    decoder.decode(&ch.detectors),
-                    "{kind:?}: batched lane {lane} diverged from scalar decode"
-                );
-            }
-        }
-    }
 }
 
 fn pair_from_index(mut idx: usize, n: usize) -> (usize, usize) {
